@@ -1,7 +1,6 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <any>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -14,9 +13,10 @@
 #include "common/fileio.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
+#include "common/strings.h"
 #include "common/trace.h"
 #include "core/checkpoint.h"
-#include "core/pipeline/pipeline.h"
 #include "generators/walk_lm.h"
 #include "nn/serialize.h"
 #include "graph/subgraph.h"
@@ -52,6 +52,34 @@ bool GuardFiniteLoss(double value, const char* component, double* sum) {
   counter.Increment();
   return false;
 }
+
+// One step of a self-paced cycle: a `trainer.<step>` span plus start and
+// finish stage records in the event journal, which fairgen_doctor lists
+// and the watchdog's stage_stall rule counts as progress.
+class CycleStep {
+ public:
+  CycleStep(const char* name, trace::Category category, uint32_t cycle)
+      : span_(name, category), name_(name), cycle_(cycle) {
+    Emit("start");
+  }
+  ~CycleStep() { Emit("finish"); }
+  CycleStep(const CycleStep&) = delete;
+  CycleStep& operator=(const CycleStep&) = delete;
+
+ private:
+  void Emit(const char* what) const {
+    events::Event event;
+    event.type = events::Type::kStage;
+    event.name = name_;
+    event.message = what;
+    event.epoch = static_cast<double>(cycle_);
+    events::Journal::Global().Emit(std::move(event));
+  }
+
+  trace::ScopedSpan span_;
+  const char* name_;
+  uint32_t cycle_;
+};
 
 }  // namespace
 
@@ -108,53 +136,97 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
   // The optimizer persists across cycles (created in Prepare) so its
   // Adam moments are part of the resumable training state.
   nn::Adam& optim = *gen_optim_;
+  const std::vector<nn::Var>& params = optim.params();
+  nn::TransformerLM& lm = model_->generator();
 
+  // Data-parallel minibatches: up to `threads` walks of a minibatch run
+  // at once, each forward+backward on its own replica of the generator,
+  // and the master grads then fold the replica grads in walk order.
+  // Backward's fold-once contract (nn/autograd.h) makes this bit-identical
+  // to one Backward per walk on the master, which is what one thread
+  // runs, so the trajectory does not depend on the thread count. The
+  // replicas live only for this call.
+  uint32_t threads = std::min(
+      {parallel_internal::ResolveNumThreads(config_.num_threads),
+       ThreadPool::Global().max_parallelism(), config_.generator_batch});
+  if (InParallelRegion()) threads = 1;  // a nested ParallelFor runs inline
+  std::vector<std::unique_ptr<nn::TransformerLM>> replicas;
+  std::vector<std::vector<nn::Var>> replica_params;
+  if (threads > 1) {
+    replicas.resize(threads);
+    replica_params.resize(threads);
+  }
+
+  auto walk_loss = [floor_logprob](const nn::TransformerLM& model,
+                                   const Walk& walk, bool is_positive) {
+    if (is_positive) return model.WalkNll(walk);
+    std::vector<uint32_t> prefix(walk.begin(), walk.end() - 1);
+    std::vector<uint32_t> targets(walk.begin() + 1, walk.end());
+    return nn::NegativeWalkPenalty(model.Logits(prefix), targets,
+                                   floor_logprob);
+  };
   double loss_sum = 0.0;
   uint64_t loss_count = 0;
+  auto record = [&](double value) {
+    if (inject_nan_batches_ > 0) {
+      // Fault injection (FAIRGEN_INJECT_NAN_LOSS): poison the *recorded*
+      // batch value only — gradients are untouched, so the training
+      // trajectory stays deterministic while the guard path below is
+      // exercised end to end.
+      value = std::numeric_limits<double>::quiet_NaN();
+      --inject_nan_batches_;
+    }
+    if (GuardFiniteLoss(value, "generator", &loss_sum)) ++loss_count;
+  };
+
+  std::vector<std::pair<const Walk*, bool>> walks;
+  std::vector<double> values(threads);
   for (uint32_t epoch = 0; epoch < config_.generator_epochs; ++epoch) {
-    std::vector<std::pair<bool, uint32_t>> order = dataset_.EpochOrder(rng);
-    optim.ZeroGrad();
-    uint32_t in_batch = 0;
-    for (const auto& [is_positive, idx] : order) {
+    walks.clear();
+    for (const auto& [is_positive, idx] : dataset_.EpochOrder(rng)) {
       const Walk& walk = is_positive ? dataset_.positives()[idx]
                                      : dataset_.negatives()[idx];
-      if (walk.size() < 2) continue;
-      nn::Var loss;
-      if (is_positive) {
-        loss = model_->generator().WalkNll(walk);
-      } else {
-        std::vector<uint32_t> prefix(walk.begin(), walk.end() - 1);
-        std::vector<uint32_t> targets(walk.begin() + 1, walk.end());
-        loss = nn::NegativeWalkPenalty(model_->generator().Logits(prefix),
-                                       targets, floor_logprob);
-      }
-      nn::Backward(loss);
-      double value = loss->value.ScalarValue();
-      if (inject_nan_batches_ > 0) {
-        // Fault injection (FAIRGEN_INJECT_NAN_LOSS): poison the *recorded*
-        // batch value only — gradients are untouched, so the training
-        // trajectory stays deterministic while the guard path below is
-        // exercised end to end.
-        value = std::numeric_limits<double>::quiet_NaN();
-        --inject_nan_batches_;
-      }
-      if (GuardFiniteLoss(value, "generator", &loss_sum)) ++loss_count;
-      if (++in_batch == config_.generator_batch) {
-        for (const nn::Var& p : optim.params()) {
-          p->grad.Scale(1.0f / static_cast<float>(in_batch));
-        }
-        optim.ClipGradNorm(config_.grad_clip);
-        optim.Step();
-        optim.ZeroGrad();
-        in_batch = 0;
-      }
+      if (walk.size() >= 2) walks.emplace_back(&walk, is_positive);
     }
-    if (in_batch > 0) {
-      for (const nn::Var& p : optim.params()) {
-        p->grad.Scale(1.0f / static_cast<float>(in_batch));
+    optim.ZeroGrad();
+    for (size_t b0 = 0; b0 < walks.size(); b0 += config_.generator_batch) {
+      const size_t b1 =
+          std::min(walks.size(), b0 + config_.generator_batch);
+      if (replicas.empty()) {
+        for (size_t i = b0; i < b1; ++i) {
+          nn::Var loss = walk_loss(lm, *walks[i].first, walks[i].second);
+          nn::Backward(loss);
+          record(loss->value.ScalarValue());
+        }
+      }
+      for (size_t r0 = b0; r0 < b1 && !replicas.empty(); r0 += threads) {
+        const size_t r1 = std::min(b1, r0 + threads);
+        ParallelFor(
+            r0, r1, 1,
+            [&](size_t i) {
+              const size_t t = i - r0;
+              if (replicas[t] == nullptr) {
+                replicas[t] = lm.Replica();
+                replica_params[t] = replicas[t]->Parameters();
+              }
+              nn::ZeroGrad(replica_params[t]);
+              nn::Var loss =
+                  walk_loss(*replicas[t], *walks[i].first, walks[i].second);
+              nn::Backward(loss);
+              values[t] = loss->value.ScalarValue();
+            },
+            threads);
+        for (size_t i = r0; i < r1; ++i) {
+          nn::AddGrads(params, replica_params[i - r0]);
+          record(values[i - r0]);
+        }
+      }
+      for (const nn::Var& p : params) {
+        p->grad.Scale(1.0f / static_cast<float>(b1 - b0));
       }
       optim.ClipGradNorm(config_.grad_clip);
       optim.Step();
+      optim.ZeroGrad();
     }
   }
   return loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
@@ -365,9 +437,16 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
   // exercising the finiteness guard and the `loss_non_finite` alert end
   // to end without perturbing the trajectory. Read per Fit, not cached,
   // so tests in one process can toggle it.
+  // A value that is not a cycle number warns and injects nothing.
   int64_t inject_nan_cycle = -1;
   if (const char* env = std::getenv("FAIRGEN_INJECT_NAN_LOSS")) {
-    inject_nan_cycle = std::atoll(env);
+    Result<int64_t> parsed = ParseInt(env, 0);
+    if (parsed.ok()) {
+      inject_nan_cycle = *parsed;
+    } else {
+      FAIRGEN_LOG(WARNING) << "FAIRGEN_INJECT_NAN_LOSS='" << env
+                           << "' is not a cycle number; injecting nothing";
+    }
   }
 
   // Steps 3–12: the self-paced cycles (resume skips the completed ones).
@@ -380,132 +459,68 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
     }
     FairGenLosses losses;
 
-    // Steps 4–11 as a per-cycle dependency DAG on the shared pool
-    // (core/pipeline): walk sampling for the next cycle (step 5) runs
-    // concurrently with the generator update (step 4), and the negative
-    // refresh (step 6) concurrently with the self-paced label update
-    // (steps 7–8). The port edges serialize every read/write pair on
-    // shared trainer state — the walk dataset (read by the generator
-    // update, mutated by dataset_update), the sampler's label vectors
-    // (read by sample_walks, mutated by self_paced), and the shared
-    // embedding table (read by negatives/self_paced, mutated by the
-    // discriminator step). Each stage draws from its own SplitRngs
-    // stream (derived from `rng` in stage-insertion order), so the
-    // trajectory is bitwise independent of the thread count, and `rng`
-    // advances a fixed number of draws per cycle, so FGCKPT2 resume
-    // re-derives identical streams at every cycle boundary.
+    // Steps 4–11, in order. Each step draws from its own SplitRngs
+    // stream, split from `rng` in a fixed order: sample_walks, generator,
+    // negatives (with refresh), self_paced (with SPL), dataset_update,
+    // discriminator — the order of the steps that exist, steps without
+    // draws included. `rng` therefore advances a fixed number of draws
+    // per cycle, so FGCKPT2 resume re-derives identical streams at every
+    // cycle boundary. The generator step owns the pool (TrainGenerator).
     const bool refresh = config_.refresh_negatives;
     const bool spl = has_supervision() &&
                      config_.variant != FairGenVariant::kNoSelfPaced;
-    pipeline::Pipeline cycle_dag("trainer");
-    // Step 5: new positives with the current self-paced vectors (the
-    // cycle's label update lands after this sample, exactly like the
-    // sequential ordering: sample first, then SetLabels).
-    FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-        {"sample_walks",
-         trace::Category::kWalk,
-         {},
-         {"positives", "sampler_idle"},
-         [&](pipeline::StageContext& ctx)
-             -> Result<pipeline::StepResult> {
-           ctx.Push(0, sampler_->SampleBatch(config_.num_walks, ctx.rng()));
-           ctx.Push(1, true);
-           return pipeline::StepResult::kDone;
-         }}));
-    // Step 4: update g_θ from N+ and N−.
-    FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-        {"generator",
-         trace::Category::kTrain,
-         {},
-         {"generator_ready"},
-         [&](pipeline::StageContext& ctx)
-             -> Result<pipeline::StepResult> {
-           losses.j_g = TrainGenerator(ctx.rng());
-           ctx.Push(0, true);
-           return pipeline::StepResult::kDone;
-         }}));
+    std::vector<Rng> streams =
+        SplitRngs(rng, 4 + (refresh ? 1 : 0) + (spl ? 1 : 0));
+
+    // Step 5: new positives with the current self-paced vectors (sampled
+    // before this cycle's label update).
+    std::vector<Walk> positives;
+    {
+      CycleStep step("trainer.sample_walks", trace::Category::kWalk, cycle);
+      positives = sampler_->SampleBatch(config_.num_walks, streams[0]);
+    }
+    // Step 4: update g_θ from the previous N+ and N− pools.
+    {
+      CycleStep step("trainer.generator", trace::Category::kTrain, cycle);
+      losses.j_g = TrainGenerator(streams[1]);
+    }
     // Step 6: new negatives from the updated generator (skipped by the
     // negative-refresh ablation, which keeps the static [32] negatives).
+    std::vector<Walk> negatives;
     if (refresh) {
-      FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-          {"negatives",
-           trace::Category::kWalk,
-           {"generator_ready"},
-           {"negative_walks", "negatives_done"},
-           [&](pipeline::StageContext& ctx)
-               -> Result<pipeline::StepResult> {
-             ctx.Push(0,
-                      SampleGeneratorWalks(config_.num_walks, ctx.rng()));
-             ctx.Push(1, true);
-             return pipeline::StepResult::kDone;
-           }}));
+      CycleStep step("trainer.negatives", trace::Category::kWalk, cycle);
+      negatives = SampleGeneratorWalks(config_.num_walks, streams[2]);
     }
     // Steps 7–8: augment λ and refresh the self-paced vectors / pseudo
     // labels (skipped by the w/o-SPL ablation).
     if (spl) {
-      FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-          {"self_paced",
-           trace::Category::kTrain,
-           {"generator_ready", "sampler_idle"},
-           {"labels_ready"},
-           [&](pipeline::StageContext& ctx)
-               -> Result<pipeline::StepResult> {
-             scheduler.Augment();
-             SelfPacedUpdate update =
-                 scheduler.Update(model_->fair_module().LogProbaAll(),
-                                  ground_truth_, config_.beta);
-             labels_ = std::move(update.labels);
-             num_pseudo_labeled_ = update.num_pseudo_labeled;
-             losses.j_l = update.j_l / std::max<size_t>(1, labels_.size());
-             losses.j_s = update.j_s / std::max<size_t>(1, labels_.size());
-             FAIRGEN_RETURN_NOT_OK(sampler_->SetLabels(labels_));
-             ctx.Push(0, true);
-             return pipeline::StepResult::kDone;
-           }}));
+      CycleStep step("trainer.self_paced", trace::Category::kTrain, cycle);
+      scheduler.Augment();
+      SelfPacedUpdate update = scheduler.Update(
+          model_->fair_module().LogProbaAll(), ground_truth_, config_.beta);
+      labels_ = std::move(update.labels);
+      num_pseudo_labeled_ = update.num_pseudo_labeled;
+      losses.j_l = update.j_l / std::max<size_t>(1, labels_.size());
+      losses.j_s = update.j_s / std::max<size_t>(1, labels_.size());
+      FAIRGEN_RETURN_NOT_OK(sampler_->SetLabels(labels_));
     }
-    // Steps 5–6 commit: fold the freshly sampled pools into the dataset.
-    // Ordered after the generator update (which trains on the *previous*
-    // pools) via negative_walks / generator_ready.
-    FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-        {"dataset_update",
-         trace::Category::kGeneral,
-         refresh ? std::vector<std::string>{"positives", "negative_walks"}
-                 : std::vector<std::string>{"positives", "generator_ready"},
-         {},
-         [&](pipeline::StageContext& ctx)
-             -> Result<pipeline::StepResult> {
-           dataset_.AddPositives(
-               std::any_cast<std::vector<Walk>>(ctx.Pop(0)));
-           if (refresh) {
-             dataset_.AddNegatives(
-                 std::any_cast<std::vector<Walk>>(ctx.Pop(1)));
-             refresh_counter.Increment();
-           }
-           dataset_.TrimTo(4 * config_.num_walks);
-           return pipeline::StepResult::kDone;
-         }}));
-    // Steps 9–11: discriminator updates (J_P + J_L + J_F). Mutates the
-    // shared embedding table, so it is ordered after every reader of the
-    // current cycle (negatives, self_paced).
+    // Steps 5–6 commit: fold the fresh pools into the dataset.
     {
-      std::vector<std::string> disc_inputs;
-      disc_inputs.push_back(spl ? "labels_ready" : "generator_ready");
-      if (refresh) disc_inputs.push_back("negatives_done");
-      FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-          {"discriminator",
-           trace::Category::kTrain,
-           std::move(disc_inputs),
-           {},
-           [&](pipeline::StageContext& ctx)
-               -> Result<pipeline::StepResult> {
-             TrainDiscriminator(losses, ctx.rng());
-             return pipeline::StepResult::kDone;
-           }}));
+      CycleStep step("trainer.dataset_update", trace::Category::kGeneral,
+                     cycle);
+      dataset_.AddPositives(std::move(positives));
+      if (refresh) {
+        dataset_.AddNegatives(std::move(negatives));
+        refresh_counter.Increment();
+      }
+      dataset_.TrimTo(4 * config_.num_walks);
     }
-    pipeline::RunOptions dag_options;
-    dag_options.num_threads = config_.num_threads;
-    dag_options.rng = &rng;
-    FAIRGEN_RETURN_NOT_OK(cycle_dag.Run(dag_options));
+    // Steps 9–11: discriminator updates (J_P + J_L + J_F).
+    {
+      CycleStep step("trainer.discriminator", trace::Category::kTrain,
+                     cycle);
+      TrainDiscriminator(losses, streams.back());
+    }
 
     loss_history_.push_back(losses);
 

@@ -12,6 +12,7 @@ Node::Node(Tensor value_in, bool requires_grad_in)
 void Node::EnsureGrad() {
   if (grad.rows() != value.rows() || grad.cols() != value.cols()) {
     grad = Tensor(value.rows(), value.cols());
+    grad_zero = true;
   }
 }
 
@@ -94,14 +95,22 @@ void Backward(const Var& root) {
   std::vector<Node*> order;
   TopoSort(root, order);
 
-  // Zero interior grads so stale values from a previous backward pass do
-  // not leak in; leaves keep their grads (accumulation semantics).
+  // Interior grads restart from zero so stale values from a previous
+  // pass do not leak in. A leaf whose grad may hold a sum S from earlier
+  // calls restarts from zero too, with S stashed, so this pass computes
+  // the leaf's whole gradient X before it is folded in as S + X.
+  std::vector<std::pair<Node*, Tensor>> stash;
   for (Node* node : order) {
     if (node->backward_fn) {
       node->grad = Tensor(node->value.rows(), node->value.cols());
-    } else {
-      node->EnsureGrad();
+      continue;
     }
+    node->EnsureGrad();
+    if (!node->grad_zero) {
+      stash.emplace_back(node, std::move(node->grad));
+      node->grad = Tensor(node->value.rows(), node->value.cols());
+    }
+    node->grad_zero = false;
   }
   root->grad.Fill(1.0f);
 
@@ -111,12 +120,27 @@ void Backward(const Var& root) {
       node->backward_fn(*node);
     }
   }
+
+  for (auto& [leaf, sum] : stash) {
+    sum.Add(leaf->grad);
+    leaf->grad = std::move(sum);
+  }
 }
 
 void ZeroGrad(const std::vector<Var>& params) {
   for (const Var& p : params) {
     p->EnsureGrad();
     p->grad.Zero();
+    p->grad_zero = true;
+  }
+}
+
+void AddGrads(const std::vector<Var>& dst, const std::vector<Var>& src) {
+  FAIRGEN_CHECK(dst.size() == src.size());
+  for (size_t i = 0; i < dst.size(); ++i) {
+    dst[i]->EnsureGrad();
+    dst[i]->grad.Add(src[i]->grad);
+    dst[i]->grad_zero = false;
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -29,14 +28,20 @@ class Node {
   Tensor value;
   /// Gradient of the loss w.r.t. `value`; allocated lazily by Backward().
   Tensor grad;
+  /// True while `grad` is known to hold only zeros: set by ZeroGrad() and
+  /// by EnsureGrad() when it allocates, cleared by Backward() and
+  /// AddGrads(). Lets Backward() skip the fold-once stash (see Backward).
+  /// Code that writes a leaf's `grad` by hand must clear it.
+  bool grad_zero = false;
   /// Whether gradients should flow into (and through) this node.
   bool requires_grad = false;
   /// Direct inputs of the op that produced this node (empty for leaves).
   std::vector<Var> parents;
   /// Propagates this node's grad into its parents. Null for leaves.
   std::function<void(Node&)> backward_fn;
-  /// Optional human-readable tag for debugging.
-  std::string op_name;
+  /// Static name of the op that produced this node ("matmul", ...);
+  /// null for leaves.
+  const char* op_name = nullptr;
 
   /// Allocates (zeroed) `grad` if not yet allocated.
   void EnsureGrad();
@@ -77,12 +82,26 @@ bool GradRecordingEnabled();
 
 /// \brief Runs reverse-mode differentiation from `root`, which must hold a
 /// 1x1 scalar. After the call, every reachable leaf with requires_grad has
-/// dL/d leaf accumulated into its `grad` (existing grad content is kept,
-/// enabling gradient accumulation across minibatch elements).
+/// dL/d leaf added to its `grad` (existing grad content is kept, enabling
+/// gradient accumulation across minibatch elements).
+///
+/// Fold-once contract: each call computes a leaf's whole gradient X from
+/// +0, then adds it to the existing content S with one addition per
+/// element, grad = S + X — never ((S + a1) + a2) + ... over the call's
+/// individual addends. So a sequence of Backward calls on one model is
+/// bit-identical to computing each X separately (on a replica, on another
+/// thread) and folding the Xs into S in the same order with AddGrads.
+/// When S is known zero (`grad_zero`), the addends go straight into
+/// `grad`, which gives the same bits without a stash.
 void Backward(const Var& root);
 
 /// \brief Zeroes the grad buffers of `params`.
 void ZeroGrad(const std::vector<Var>& params);
+
+/// \brief dst[i]->grad += src[i]->grad for every i, one addition per
+/// element: the fold that makes per-replica Backward calls equal one
+/// model's sequential calls (see Backward). Shapes must match.
+void AddGrads(const std::vector<Var>& dst, const std::vector<Var>& src);
 
 /// \brief Sum of squared entries across parameter grads (diagnostics).
 double GradNormSquared(const std::vector<Var>& params);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/kernels/kernels.h"
 
 namespace fairgen::nn {
 
@@ -11,6 +12,34 @@ using internal::MakeOpNode;
 
 namespace {
 constexpr float kSqrt2OverPi = 0.7978845608028654f;
+
+// grad += a^T · b, computed a block of output rows at a time, so no
+// [a.cols(), b.cols()] temporary is materialised: for the tied output
+// projection that temporary is a whole [vocab, dim] table per walk. The
+// bits equal grad.Add(MatMulTransA(a, b)), because the kernel's
+// accumulation order for an output element does not depend on how many
+// rows one call covers.
+void AddMatMulTransA(const Tensor& a, const Tensor& b, Tensor& grad) {
+  constexpr size_t kRowBlock = 64;
+  const size_t k = a.rows();
+  const size_t m = a.cols();
+  const size_t n = b.cols();
+  FAIRGEN_CHECK(b.rows() == k && grad.rows() == m && grad.cols() == n);
+  if (m <= kRowBlock) {
+    grad.Add(MatMulTransA(a, b));
+    return;
+  }
+  std::vector<float> a_cols(k * kRowBlock);  // a[:, i0:i1], packed
+  std::vector<float> rows(kRowBlock * n);
+  for (size_t i0 = 0; i0 < m; i0 += kRowBlock) {
+    const size_t len = std::min(kRowBlock, m - i0);
+    for (size_t p = 0; p < k; ++p) {
+      std::copy(a.row(p) + i0, a.row(p) + i0 + len, a_cols.data() + p * len);
+    }
+    kernels::MatMulTransA(a_cols.data(), b.data(), rows.data(), len, k, n);
+    kernels::Add(grad.row(i0), rows.data(), len * n);
+  }
+}
 }  // namespace
 
 Var Add(const Var& a, const Var& b) {
@@ -332,7 +361,7 @@ Var MatMulTransBOp(const Var& a, const Var& b) {
         }
         if (pb->requires_grad) {
           // dB = dC^T · A
-          pb->grad.Add(MatMulTransA(n.grad, pa->value));
+          AddMatMulTransA(n.grad, pa->value, pb->grad);
         }
       },
       "matmul_trans_b");

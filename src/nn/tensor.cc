@@ -1,5 +1,6 @@
 #include "nn/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -40,38 +41,62 @@ Tensor Tensor::Scalar(float value) {
   return t;
 }
 
-void Tensor::Fill(float value) {
-  for (float& x : data_) x = value;
+Tensor Tensor::ViewOf(Tensor& other) {
+  Tensor t;
+  t.rows_ = other.rows_;
+  t.cols_ = other.cols_;
+  t.view_ = other.data();
+  return t;
 }
+
+Tensor::Tensor(const Tensor& other)
+    : rows_(other.rows_),
+      cols_(other.cols_),
+      data_(other.data(), other.data() + other.size()) {}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) {
+    rows_ = other.rows_;
+    cols_ = other.cols_;
+    data_.assign(other.data(), other.data() + other.size());
+    view_ = nullptr;
+  }
+  return *this;
+}
+
+void Tensor::Fill(float value) { std::fill(data(), data() + size(), value); }
 
 void Tensor::Add(const Tensor& other) {
   FAIRGEN_CHECK(SameShape(other));
-  kernels::Add(data_.data(), other.data_.data(), data_.size());
+  kernels::Add(data(), other.data(), size());
 }
 
 void Tensor::AddScaled(const Tensor& other, float alpha) {
   FAIRGEN_CHECK(SameShape(other));
-  kernels::AddScaled(data_.data(), other.data_.data(), alpha, data_.size());
+  kernels::AddScaled(data(), other.data(), alpha, size());
 }
 
 void Tensor::Scale(float alpha) {
-  kernels::Scale(data_.data(), alpha, data_.size());
+  kernels::Scale(data(), alpha, size());
 }
 
 float Tensor::Sum() const {
   double s = 0.0;
-  for (float x : data_) s += x;
+  for (size_t i = 0; i < size(); ++i) s += data()[i];
   return static_cast<float>(s);
 }
 
 float Tensor::ScalarValue() const {
   FAIRGEN_CHECK(rows_ == 1 && cols_ == 1);
-  return data_[0];
+  return data()[0];
 }
 
 float Tensor::Norm() const {
   double s = 0.0;
-  for (float x : data_) s += static_cast<double>(x) * x;
+  for (size_t i = 0; i < size(); ++i) {
+    const double x = data()[i];
+    s += x * x;
+  }
   return static_cast<float>(std::sqrt(s));
 }
 

@@ -50,20 +50,33 @@ class Tensor {
   /// A 1x1 tensor holding `value`.
   static Tensor Scalar(float value);
 
+  /// A tensor over `other`'s storage, without a copy: writes through
+  /// either one show in both. `other` must keep its storage (outlive the
+  /// view, no reassignment) while the view is in use. Copying a view
+  /// gives an owning tensor.
+  static Tensor ViewOf(Tensor& other);
+
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&&) = default;
+  Tensor& operator=(Tensor&&) = default;
+
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
-  size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
+  size_t size() const { return view_ != nullptr ? rows_ * cols_ : data_.size(); }
+  bool empty() const { return size() == 0; }
 
-  float& at(size_t r, size_t c) { return data_[r * cols_ + c]; }
-  float at(size_t r, size_t c) const { return data_[r * cols_ + c]; }
+  float& at(size_t r, size_t c) { return data()[r * cols_ + c]; }
+  float at(size_t r, size_t c) const { return data()[r * cols_ + c]; }
 
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
+  float* data() { return view_ != nullptr ? view_ : data_.data(); }
+  const float* data() const {
+    return view_ != nullptr ? view_ : data_.data();
+  }
 
   /// Mutable row pointer.
-  float* row(size_t r) { return data_.data() + r * cols_; }
-  const float* row(size_t r) const { return data_.data() + r * cols_; }
+  float* row(size_t r) { return data() + r * cols_; }
+  const float* row(size_t r) const { return data() + r * cols_; }
 
   /// Sets every entry to `value`.
   void Fill(float value);
@@ -98,6 +111,7 @@ class Tensor {
   size_t rows_ = 0;
   size_t cols_ = 0;
   FloatBuffer data_;
+  float* view_ = nullptr;  // set for views; `data_` is then empty
 };
 
 /// \brief C = A · B (shapes [m,k] x [k,n] -> [m,n]).

@@ -202,6 +202,17 @@ std::vector<Var> TransformerLM::Parameters() const {
   return params;
 }
 
+std::unique_ptr<TransformerLM> TransformerLM::Replica() {
+  Rng init_rng(0);  // the replica's own init is replaced by views below
+  auto replica = std::make_unique<TransformerLM>(config_, init_rng);
+  const std::vector<Var> src = Parameters();
+  const std::vector<Var> dst = replica->Parameters();
+  for (size_t i = 0; i < src.size(); ++i) {
+    dst[i]->value = Tensor::ViewOf(src[i]->value);
+  }
+  return replica;
+}
+
 // ---------------------------------------------------------------------------
 // TransformerDecoder
 // ---------------------------------------------------------------------------

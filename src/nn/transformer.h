@@ -100,6 +100,13 @@ class TransformerLM : public Module {
 
   std::vector<Var> Parameters() const override;
 
+  /// A replica for data-parallel training: its parameters are separate
+  /// leaf nodes, so it has gradients of its own, whose values are views
+  /// of this model's values (no copy; optimizer steps on this model show
+  /// in the replica). This model must keep its parameter storage while
+  /// the replica is in use.
+  std::unique_ptr<TransformerLM> Replica();
+
   const TransformerConfig& config() const { return config_; }
 
  private:

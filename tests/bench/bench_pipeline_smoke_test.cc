@@ -22,6 +22,7 @@
 
 #include "common/json.h"
 #include "common/strings.h"
+#include "test_util.h"
 
 namespace fairgen::bench {
 namespace {
@@ -45,9 +46,7 @@ int RunCommand(const std::string& command) {
 class BenchPipelineSmokeTest : public testing::Test {
  protected:
   std::string TempPath(const std::string& suffix) {
-    std::string path = testing::TempDir() + "/fairgen_bench_smoke_" + suffix;
-    paths_.push_back(path);
-    return path;
+    return temp_dir_.File(suffix);
   }
 
   std::string BenchCommand(const std::string& extra_flags,
@@ -59,11 +58,7 @@ class BenchPipelineSmokeTest : public testing::Test {
     return cmd + extra_flags + " > /dev/null 2>&1";
   }
 
-  void TearDown() override {
-    for (const std::string& p : paths_) std::remove(p.c_str());
-  }
-
-  std::vector<std::string> paths_;
+  testing_util::ScopedTempDir temp_dir_;
 };
 
 TEST_F(BenchPipelineSmokeTest, EmitsSchemaCompleteResultJson) {

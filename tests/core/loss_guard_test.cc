@@ -125,6 +125,15 @@ TEST_F(LossGuardTest, InjectionIsReadPerFitNotCachedPerProcess) {
   EXPECT_EQ(NonFiniteBatches(), before + 1);
 }
 
+TEST_F(LossGuardTest, JunkInjectionValueInjectsNothing) {
+  LabeledGraph data = MakeData(4);
+  // Not a cycle number: a lenient parse would read "abc" as cycle 0.
+  ASSERT_EQ(::setenv("FAIRGEN_INJECT_NAN_LOSS", "abc", 1), 0);
+  const uint64_t before = NonFiniteBatches();
+  TrainAndGenerate(data, QuickConfig(), 4);
+  EXPECT_EQ(NonFiniteBatches(), before);
+}
+
 TEST_F(LossGuardTest, FairnessProbeIsObservationOnly) {
   LabeledGraph data = MakeData(9);
   const std::string unprobed = TrainAndGenerate(data, QuickConfig(), 9);

@@ -21,6 +21,7 @@
 
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
+#include "test_util.h"
 
 namespace fairgen {
 namespace {
@@ -48,9 +49,7 @@ class CliFlagsTest : public testing::Test {
   }
 
   std::string TempPath(const std::string& suffix) {
-    std::string path = testing::TempDir() + "/fairgen_cli_flags_" + suffix;
-    paths_.push_back(path);
-    return path;
+    return temp_dir_.File(suffix);
   }
 
   // Runs the CLI with `args` appended after "generate <edges> --out=<out>";
@@ -65,13 +64,10 @@ class CliFlagsTest : public testing::Test {
     return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
   }
 
-  void TearDown() override {
-    for (const std::string& p : paths_) std::remove(p.c_str());
-  }
 
   std::string edges_path_;
   std::string out_path_;
-  std::vector<std::string> paths_;
+  testing_util::ScopedTempDir temp_dir_;
 };
 
 TEST_F(CliFlagsTest, NonNumericTelemetryPortIsAFlagError) {
