@@ -1,6 +1,7 @@
 #include "common/fileio.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <string.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -35,6 +36,31 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
                            ::strerror(errno));
   }
   return Status::OK();
+}
+
+bool WriteFileAtomicSignalSafe(const char* path, const char* tmp_path,
+                               const char* data, size_t size) {
+  const int saved_errno = errno;
+  const int fd = ::open(tmp_path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  bool ok = fd >= 0;
+  while (ok && size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) {
+      data += n;
+      size -= static_cast<size_t>(n);
+    }
+  }
+  if (fd >= 0) {
+    ok = ok && ::fsync(fd) == 0;
+    ok = (::close(fd) == 0) && ok;
+    if (ok) ok = ::rename(tmp_path, path) == 0;
+    if (!ok) ::unlink(tmp_path);
+  }
+  errno = saved_errno;
+  return ok;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

@@ -1,6 +1,7 @@
 #ifndef FAIRGEN_COMMON_FILEIO_H_
 #define FAIRGEN_COMMON_FILEIO_H_
 
+#include <cstddef>
 #include <string>
 
 #include "common/result.h"
@@ -18,6 +19,14 @@ namespace fairgen {
 /// This is the write contract shared by the telemetry snapshots
 /// (snapshot.json / metrics.prom) and the training checkpoints.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes);
+
+/// \brief WriteFileAtomic for a signal handler: the same steps through
+/// async-signal-safe system calls only, with the temp path supplied
+/// (`path` + ".tmp" by convention), so nothing allocates. A handler that
+/// interrupted malloc would otherwise deadlock on the allocator's lock.
+/// Returns false on any failure; errno is preserved.
+bool WriteFileAtomicSignalSafe(const char* path, const char* tmp_path,
+                               const char* data, size_t size);
 
 /// \brief Reads the whole file into a string (binary-exact).
 Result<std::string> ReadFileToString(const std::string& path);

@@ -1,11 +1,9 @@
 #include "common/memprobe.h"
 
-#include <sys/mman.h>
 #include <sys/resource.h>
 
 #include <cstdio>
 #include <cstring>
-#include <new>
 #include <string>
 
 #include "common/events.h"
@@ -68,20 +66,10 @@ ByteCounter& TransitionBytes() {
 namespace internal {
 
 void* AlignedNew(size_t bytes, size_t alignment) {
-  if (bytes >= kMappedBytes && alignment <= 4096) {
-    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    return p;
-  }
   return ::operator new(bytes, std::align_val_t{alignment});
 }
 
-void AlignedDelete(void* p, size_t bytes, size_t alignment) noexcept {
-  if (bytes >= kMappedBytes && alignment <= 4096) {
-    munmap(p, bytes);
-    return;
-  }
+void AlignedDelete(void* p, size_t alignment) noexcept {
   ::operator delete(p, std::align_val_t{alignment});
 }
 

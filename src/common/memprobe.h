@@ -82,16 +82,8 @@ namespace internal {
 /// container destructors trips a -Wuse-after-free false positive (the
 /// alias analysis conflates the inner aligned buffer with the outer
 /// array), and no caller is allocation-rate-bound.
-///
-/// Blocks of `kMappedBytes` or more are mapped directly (page-aligned)
-/// and unmapped when freed. An autograd tape allocates and frees several
-/// such blocks per walk (logits, their softmax and gradient); from the
-/// heap, they interleave with long-lived small allocations such as the
-/// walk pools, which pin the freed pages, so the resident set grew with
-/// every training cycle.
-inline constexpr size_t kMappedBytes = size_t{32} << 10;
 void* AlignedNew(size_t bytes, size_t alignment);
-void AlignedDelete(void* p, size_t bytes, size_t alignment) noexcept;
+void AlignedDelete(void* p, size_t alignment) noexcept;
 
 }  // namespace internal
 
@@ -141,7 +133,7 @@ class TrackingAllocator {
 
   void deallocate(T* p, size_t n) noexcept {
     if constexpr (Alignment > __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
-      internal::AlignedDelete(p, n * sizeof(T), Alignment);
+      internal::AlignedDelete(p, Alignment);
     } else {
       ::operator delete(p);
     }

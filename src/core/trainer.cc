@@ -56,29 +56,24 @@ bool GuardFiniteLoss(double value, const char* component, double* sum) {
 // One step of a self-paced cycle: a `trainer.<step>` span plus start and
 // finish stage records in the event journal, which fairgen_doctor lists
 // and the watchdog's stage_stall rule counts as progress.
-class CycleStep {
- public:
+struct CycleStep {
   CycleStep(const char* name, trace::Category category, uint32_t cycle)
-      : span_(name, category), name_(name), cycle_(cycle) {
+      : span(name, category), name(name), cycle(cycle) {
     Emit("start");
   }
   ~CycleStep() { Emit("finish"); }
-  CycleStep(const CycleStep&) = delete;
-  CycleStep& operator=(const CycleStep&) = delete;
-
- private:
   void Emit(const char* what) const {
     events::Event event;
     event.type = events::Type::kStage;
-    event.name = name_;
+    event.name = name;
     event.message = what;
-    event.epoch = static_cast<double>(cycle_);
+    event.epoch = static_cast<double>(cycle);
     events::Journal::Global().Emit(std::move(event));
   }
 
-  trace::ScopedSpan span_;
-  const char* name_;
-  uint32_t cycle_;
+  trace::ScopedSpan span;
+  const char* name;
+  uint32_t cycle;
 };
 
 }  // namespace
@@ -137,25 +132,24 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
   // Adam moments are part of the resumable training state.
   nn::Adam& optim = *gen_optim_;
   const std::vector<nn::Var>& params = optim.params();
-  nn::TransformerLM& lm = model_->generator();
 
   // Data-parallel minibatches: up to `threads` walks of a minibatch run
-  // at once, each forward+backward on its own replica of the generator,
-  // and the master grads then fold the replica grads in walk order.
-  // Backward's fold-once contract (nn/autograd.h) makes this bit-identical
-  // to one Backward per walk on the master, which is what one thread
-  // runs, so the trajectory does not depend on the thread count. The
-  // replicas live only for this call.
-  uint32_t threads = std::min(
-      {parallel_internal::ResolveNumThreads(config_.num_threads),
-       ThreadPool::Global().max_parallelism(), config_.generator_batch});
+  // at once, each forward+backward from zeroed grads on its own replica
+  // of the generator, and the master grads then fold the replica grads
+  // in walk order. Backward's fold-once contract (nn/autograd.h) makes
+  // this bit-identical to one Backward per walk on the master, so the
+  // trajectory does not depend on the thread count. The replicas live
+  // only for this call. A generator_batch of 0 makes each epoch one
+  // minibatch.
+  const uint32_t max_batch = config_.generator_batch > 0
+                                 ? config_.generator_batch
+                                 : std::numeric_limits<uint32_t>::max();
+  uint32_t threads =
+      std::min({parallel_internal::ResolveNumThreads(config_.num_threads),
+                ThreadPool::Global().max_parallelism(), max_batch});
   if (InParallelRegion()) threads = 1;  // a nested ParallelFor runs inline
-  std::vector<std::unique_ptr<nn::TransformerLM>> replicas;
-  std::vector<std::vector<nn::Var>> replica_params;
-  if (threads > 1) {
-    replicas.resize(threads);
-    replica_params.resize(threads);
-  }
+  std::vector<std::unique_ptr<nn::TransformerLM>> replicas(threads);
+  std::vector<std::vector<nn::Var>> replica_params(threads);
 
   auto walk_loss = [floor_logprob](const nn::TransformerLM& model,
                                    const Walk& walk, bool is_positive) {
@@ -167,17 +161,6 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
   };
   double loss_sum = 0.0;
   uint64_t loss_count = 0;
-  auto record = [&](double value) {
-    if (inject_nan_batches_ > 0) {
-      // Fault injection (FAIRGEN_INJECT_NAN_LOSS): poison the *recorded*
-      // batch value only — gradients are untouched, so the training
-      // trajectory stays deterministic while the guard path below is
-      // exercised end to end.
-      value = std::numeric_limits<double>::quiet_NaN();
-      --inject_nan_batches_;
-    }
-    if (GuardFiniteLoss(value, "generator", &loss_sum)) ++loss_count;
-  };
 
   std::vector<std::pair<const Walk*, bool>> walks;
   std::vector<double> values(threads);
@@ -188,25 +171,18 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
                                      : dataset_.negatives()[idx];
       if (walk.size() >= 2) walks.emplace_back(&walk, is_positive);
     }
-    optim.ZeroGrad();
-    for (size_t b0 = 0; b0 < walks.size(); b0 += config_.generator_batch) {
-      const size_t b1 =
-          std::min(walks.size(), b0 + config_.generator_batch);
-      if (replicas.empty()) {
-        for (size_t i = b0; i < b1; ++i) {
-          nn::Var loss = walk_loss(lm, *walks[i].first, walks[i].second);
-          nn::Backward(loss);
-          record(loss->value.ScalarValue());
-        }
-      }
-      for (size_t r0 = b0; r0 < b1 && !replicas.empty(); r0 += threads) {
+    const size_t batch = std::min<size_t>(max_batch, walks.size());
+    for (size_t b0 = 0; b0 < walks.size(); b0 += batch) {
+      const size_t b1 = std::min(walks.size(), b0 + batch);
+      optim.ZeroGrad();
+      for (size_t r0 = b0; r0 < b1; r0 += threads) {
         const size_t r1 = std::min(b1, r0 + threads);
         ParallelFor(
             r0, r1, 1,
             [&](size_t i) {
               const size_t t = i - r0;
               if (replicas[t] == nullptr) {
-                replicas[t] = lm.Replica();
+                replicas[t] = model_->generator().Replica();
                 replica_params[t] = replicas[t]->Parameters();
               }
               nn::ZeroGrad(replica_params[t]);
@@ -218,7 +194,16 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
             threads);
         for (size_t i = r0; i < r1; ++i) {
           nn::AddGrads(params, replica_params[i - r0]);
-          record(values[i - r0]);
+          double value = values[i - r0];
+          if (inject_nan_batches_ > 0) {
+            // Fault injection (FAIRGEN_INJECT_NAN_LOSS): poison the
+            // *recorded* batch value only — gradients are untouched, so
+            // the training trajectory stays deterministic while the guard
+            // path below is exercised end to end.
+            value = std::numeric_limits<double>::quiet_NaN();
+            --inject_nan_batches_;
+          }
+          if (GuardFiniteLoss(value, "generator", &loss_sum)) ++loss_count;
         }
       }
       for (const nn::Var& p : params) {
@@ -226,7 +211,6 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
       }
       optim.ClipGradNorm(config_.grad_clip);
       optim.Step();
-      optim.ZeroGrad();
     }
   }
   return loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
@@ -436,8 +420,7 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
   // c record a NaN loss value (gradients untouched — see TrainGenerator),
   // exercising the finiteness guard and the `loss_non_finite` alert end
   // to end without perturbing the trajectory. Read per Fit, not cached,
-  // so tests in one process can toggle it.
-  // A value that is not a cycle number warns and injects nothing.
+  // so tests in one process can toggle it; junk warns, injects nothing.
   int64_t inject_nan_cycle = -1;
   if (const char* env = std::getenv("FAIRGEN_INJECT_NAN_LOSS")) {
     Result<int64_t> parsed = ParseInt(env, 0);
@@ -1160,6 +1143,7 @@ void FairGenTrainer::UpdatePendingCheckpoint(const std::string& dir,
   const int slot =
       pending_slot_.load(std::memory_order_acquire) == 0 ? 1 : 0;
   pending_[slot].path = dir + "/" + CheckpointFileName(next_cycle);
+  pending_[slot].tmp_path = pending_[slot].path + ".tmp";
   pending_[slot].blob = SerializeTrainingCheckpoint(next_cycle, lambda, rng);
   pending_[slot].cycle = next_cycle;
   pending_slot_.store(slot, std::memory_order_release);
@@ -1190,11 +1174,11 @@ void FairGenTrainer::WriteEmergencyCheckpoint() {
   const int slot = pending_slot_.load(std::memory_order_acquire);
   if (slot < 0) return;
   // Best-effort: called on the signal path, where there is nobody left
-  // to consume a Status. The atomic write contract still holds, so a
-  // failure here can at worst leave a stale .tmp file behind.
-  const Status status =
-      WriteFileAtomic(pending_[slot].path, pending_[slot].blob);
-  (void)status;
+  // to consume a Status, and where allocating could deadlock. The atomic
+  // write contract still holds.
+  const PendingCheckpoint& pending = pending_[slot];
+  WriteFileAtomicSignalSafe(pending.path.c_str(), pending.tmp_path.c_str(),
+                            pending.blob.data(), pending.blob.size());
 }
 
 Result<Graph> FairGenTrainer::Generate(Rng& rng) {

@@ -87,7 +87,8 @@ class FairGenTrainer : public GraphGenerator {
   /// last completed self-paced cycle boundary) to its file. Installed as
   /// the CLI's signal flush so SIGINT/SIGTERM persist progress; safe to
   /// call from any thread at any time — a no-op when nothing is pending.
-  /// Never throws; failures are swallowed (best-effort crash path).
+  /// Async-signal-safe: it makes system calls only, no allocation. Never
+  /// throws; failures are swallowed (best-effort crash path).
   void WriteEmergencyCheckpoint();
 
   /// Generates synthetic walks from g_θ and assembles them under the
@@ -236,6 +237,7 @@ class FairGenTrainer : public GraphGenerator {
   // blob even if the signal lands mid-serialization.
   struct PendingCheckpoint {
     std::string path;
+    std::string tmp_path;  // path + ".tmp", built ahead for the signal path
     std::string blob;
     uint32_t cycle = 0;
   };

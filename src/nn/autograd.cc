@@ -1,6 +1,7 @@
 #include "nn/autograd.h"
 
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -97,9 +98,10 @@ void Backward(const Var& root) {
 
   // Interior grads restart from zero so stale values from a previous
   // pass do not leak in. A leaf whose grad may hold a sum S from earlier
-  // calls restarts from zero too, with S stashed, so this pass computes
-  // the leaf's whole gradient X before it is folded in as S + X.
-  std::vector<std::pair<Node*, Tensor>> stash;
+  // calls restarts from zero too, with S parked in its fold buffer, so
+  // this pass computes the leaf's whole gradient X before it is folded
+  // in as S + X.
+  std::vector<Node*> folded;
   for (Node* node : order) {
     if (node->backward_fn) {
       node->grad = Tensor(node->value.rows(), node->value.cols());
@@ -107,8 +109,13 @@ void Backward(const Var& root) {
     }
     node->EnsureGrad();
     if (!node->grad_zero) {
-      stash.emplace_back(node, std::move(node->grad));
-      node->grad = Tensor(node->value.rows(), node->value.cols());
+      std::swap(node->grad, node->fold_buffer);
+      if (node->grad.SameShape(node->fold_buffer)) {
+        node->grad.Zero();
+      } else {
+        node->grad = Tensor(node->value.rows(), node->value.cols());
+      }
+      folded.push_back(node);
     }
     node->grad_zero = false;
   }
@@ -121,9 +128,9 @@ void Backward(const Var& root) {
     }
   }
 
-  for (auto& [leaf, sum] : stash) {
-    sum.Add(leaf->grad);
-    leaf->grad = std::move(sum);
+  for (Node* leaf : folded) {
+    leaf->fold_buffer.Add(leaf->grad);
+    std::swap(leaf->grad, leaf->fold_buffer);
   }
 }
 

@@ -30,9 +30,13 @@ class Node {
   Tensor grad;
   /// True while `grad` is known to hold only zeros: set by ZeroGrad() and
   /// by EnsureGrad() when it allocates, cleared by Backward() and
-  /// AddGrads(). Lets Backward() skip the fold-once stash (see Backward).
+  /// AddGrads(). Lets Backward() skip the fold through `fold_buffer`.
   /// Code that writes a leaf's `grad` by hand must clear it.
   bool grad_zero = false;
+  /// Scratch for Backward's fold (S + X) on a leaf whose grad is not
+  /// known zero; kept between calls so repeated Backward calls on one
+  /// model reuse it instead of allocating. Its content is unspecified.
+  Tensor fold_buffer;
   /// Whether gradients should flow into (and through) this node.
   bool requires_grad = false;
   /// Direct inputs of the op that produced this node (empty for leaves).
@@ -92,7 +96,8 @@ bool GradRecordingEnabled();
 /// bit-identical to computing each X separately (on a replica, on another
 /// thread) and folding the Xs into S in the same order with AddGrads.
 /// When S is known zero (`grad_zero`), the addends go straight into
-/// `grad`, which gives the same bits without a stash.
+/// `grad`, which gives the same bits; otherwise S waits in the leaf's
+/// `fold_buffer` during the call.
 void Backward(const Var& root);
 
 /// \brief Zeroes the grad buffers of `params`.

@@ -17,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "common/events.h"
+#include "common/fileio.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "test_util.h"
 
 namespace fairgen::telemetry {
 namespace {
@@ -86,6 +88,24 @@ TEST(WriteFileAtomicTest, WritesAndReplacesWithoutTmpResidue) {
 TEST(WriteFileAtomicTest, FailsOnUnwritableDirectory) {
   EXPECT_FALSE(
       WriteFileAtomic("/nonexistent-dir-xyz/file.txt", "data").ok());
+}
+
+TEST(WriteFileAtomicTest, SignalSafeVariantWritesAndReplaces) {
+  testing_util::ScopedTempDir dir;
+  const std::string path = dir.File("checkpoint.bin");
+  const std::string tmp = path + ".tmp";
+  const std::string first("a\0b", 3);
+  ASSERT_TRUE(WriteFileAtomicSignalSafe(path.c_str(), tmp.c_str(),
+                                        first.data(), first.size()));
+  EXPECT_EQ(ReadWholeFile(path), first);
+  const std::string second = "second";
+  ASSERT_TRUE(WriteFileAtomicSignalSafe(path.c_str(), tmp.c_str(),
+                                        second.data(), second.size()));
+  EXPECT_EQ(ReadWholeFile(path), second);
+  EXPECT_FALSE(FileExists(tmp));
+  EXPECT_FALSE(WriteFileAtomicSignalSafe("/nonexistent-dir-xyz/file.txt",
+                                         "/nonexistent-dir-xyz/file.txt.tmp",
+                                         "x", 1));
 }
 
 // The exposition must sanitize metric names (dots -> underscores, a

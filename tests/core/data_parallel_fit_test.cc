@@ -317,5 +317,12 @@ TEST(DataParallelFitTest, NoRefreshVariantEqualsSerialReplay) {
   CheckVariant(cfg);
 }
 
+// generator_batch = 0 trains each epoch as one minibatch.
+TEST(DataParallelFitTest, ZeroBatchVariantEqualsSerialReplay) {
+  FairGenConfig cfg = SmallConfig();
+  cfg.generator_batch = 0;
+  CheckVariant(cfg);
+}
+
 }  // namespace
 }  // namespace fairgen

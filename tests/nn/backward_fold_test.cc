@@ -62,6 +62,31 @@ TEST(BackwardFoldTest, SecondBackwardIsStashPlusFreshGradient) {
   EXPECT_FALSE(m.table->grad_zero);
 }
 
+// The third call reuses the fold buffer the second one left behind.
+TEST(BackwardFoldTest, RepeatedBackwardFoldsEachCallOnce) {
+  Model m;
+  const std::vector<Var> params = {m.table, m.bias};
+  ZeroGrad(params);
+  Backward(m.Loss(kIdsA, 1.3f));
+  const Tensor xa_table = m.table->grad;
+  const Tensor xa_bias = m.bias->grad;
+  ZeroGrad(params);
+  Backward(m.Loss(kIdsB, 0.7f));
+  Tensor want_table = xa_table;
+  Tensor want_bias = xa_bias;
+  want_table.Add(m.table->grad);
+  want_bias.Add(m.bias->grad);
+  want_table.Add(xa_table);
+  want_bias.Add(xa_bias);
+
+  ZeroGrad(params);
+  Backward(m.Loss(kIdsA, 1.3f));
+  Backward(m.Loss(kIdsB, 0.7f));
+  Backward(m.Loss(kIdsA, 1.3f));
+  EXPECT_TRUE(SameBits(m.table->grad, want_table));
+  EXPECT_TRUE(SameBits(m.bias->grad, want_bias));
+}
+
 TEST(BackwardFoldTest, ReplicaFoldEqualsSequentialBackward) {
   Model m;
   Model replica;

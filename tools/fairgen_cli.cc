@@ -703,7 +703,12 @@ void SignalExtraFlush() {
           g_signal_trainer.load(std::memory_order_acquire)) {
     trainer->WriteEmergencyCheckpoint();
   }
-  if (g_signal_opts != nullptr) WriteTelemetry(*g_signal_opts);
+  // Writing telemetry allocates, which can deadlock a handler that
+  // interrupted malloc, so it runs only when the user asked for files.
+  if (g_signal_opts != nullptr && (!g_signal_opts->metrics_out_path.empty() ||
+                                   !g_signal_opts->trace_out_path.empty())) {
+    WriteTelemetry(*g_signal_opts);
+  }
 }
 
 // Starts the live-telemetry publisher when --telemetry-dir was given.
