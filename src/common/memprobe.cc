@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <new>
 #include <string>
+#include <utility>
 
 #include "common/events.h"
 #include "common/logging.h"
@@ -64,12 +66,74 @@ ByteCounter& TransitionBytes() {
 }
 
 namespace internal {
+namespace {
+
+// Freed buffers of kCachedBytes or more, kept by the freeing thread for
+// the next allocation of the same size and alignment (see AlignedNew).
+class BufferCache {
+ public:
+  ~BufferCache() {
+    destroyed_ = true;
+    for (Slot& slot : slots_) {
+      if (slot.p != nullptr) {
+        ::operator delete(slot.p, std::align_val_t{slot.alignment});
+      }
+    }
+  }
+
+  void* Take(size_t bytes, size_t alignment) {
+    if (destroyed_) return nullptr;
+    for (Slot& slot : slots_) {
+      if (slot.p != nullptr && slot.bytes == bytes &&
+          slot.alignment == alignment) {
+        cached_bytes_ -= bytes;
+        return std::exchange(slot.p, nullptr);
+      }
+    }
+    return nullptr;
+  }
+
+  bool Put(void* p, size_t bytes, size_t alignment) {
+    if (destroyed_ || cached_bytes_ + bytes > kMaxCachedBytes) return false;
+    for (Slot& slot : slots_) {
+      if (slot.p == nullptr) {
+        slot = {p, bytes, alignment};
+        cached_bytes_ += bytes;
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  static constexpr size_t kMaxCachedBytes = size_t{2} << 20;
+  struct Slot {
+    void* p = nullptr;
+    size_t bytes = 0;
+    size_t alignment = 0;
+  };
+  Slot slots_[16];
+  size_t cached_bytes_ = 0;
+  // Blocks freed during thread exit, after the destructor ran, go to the
+  // heap. Reading a destroyed trivially-typed member is benign here.
+  bool destroyed_ = false;
+};
+
+thread_local BufferCache t_buffer_cache;
+
+}  // namespace
 
 void* AlignedNew(size_t bytes, size_t alignment) {
+  if (bytes >= kCachedBytes) {
+    if (void* p = t_buffer_cache.Take(bytes, alignment)) return p;
+  }
   return ::operator new(bytes, std::align_val_t{alignment});
 }
 
-void AlignedDelete(void* p, size_t alignment) noexcept {
+void AlignedDelete(void* p, size_t bytes, size_t alignment) noexcept {
+  if (bytes >= kCachedBytes && t_buffer_cache.Put(p, bytes, alignment)) {
+    return;
+  }
   ::operator delete(p, std::align_val_t{alignment});
 }
 

@@ -81,9 +81,17 @@ namespace internal {
 /// purpose: letting GCC inline the aligned `operator delete` into nested
 /// container destructors trips a -Wuse-after-free false positive (the
 /// alias analysis conflates the inner aligned buffer with the outer
-/// array), and no caller is allocation-rate-bound.
+/// array).
+///
+/// Buffers of `kCachedBytes` or more are recycled per thread: a freed one
+/// is kept (up to 16 blocks, 2 MiB per thread) and handed to the same
+/// thread's next allocation of the same size. Every training walk frees
+/// and reallocates its logits-sized buffers; through the heap, those
+/// blocks interleave with long-lived small allocations, which pin the
+/// freed pages, so the resident set grew with every training cycle.
+inline constexpr size_t kCachedBytes = size_t{16} << 10;
 void* AlignedNew(size_t bytes, size_t alignment);
-void AlignedDelete(void* p, size_t alignment) noexcept;
+void AlignedDelete(void* p, size_t bytes, size_t alignment) noexcept;
 
 }  // namespace internal
 
@@ -133,7 +141,7 @@ class TrackingAllocator {
 
   void deallocate(T* p, size_t n) noexcept {
     if constexpr (Alignment > __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
-      internal::AlignedDelete(p, Alignment);
+      internal::AlignedDelete(p, n * sizeof(T), Alignment);
     } else {
       ::operator delete(p);
     }
