@@ -94,7 +94,10 @@ class BufferCache {
   }
 
   bool Put(void* p, size_t bytes, size_t alignment) {
-    if (destroyed_ || cached_bytes_ + bytes > kMaxCachedBytes) return false;
+    if (destroyed_ || bytes > kMaxBlockBytes ||
+        cached_bytes_ + bytes > kMaxCachedBytes) {
+      return false;
+    }
     for (Slot& slot : slots_) {
       if (slot.p == nullptr) {
         slot = {p, bytes, alignment};
@@ -106,7 +109,10 @@ class BufferCache {
   }
 
  private:
-  static constexpr size_t kMaxCachedBytes = size_t{2} << 20;
+  // A walk's tape frees a few logits-sized blocks; larger blocks (whole
+  // tables) are freed once per call and are not worth holding.
+  static constexpr size_t kMaxBlockBytes = size_t{256} << 10;
+  static constexpr size_t kMaxCachedBytes = size_t{1} << 20;
   struct Slot {
     void* p = nullptr;
     size_t bytes = 0;

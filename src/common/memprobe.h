@@ -83,8 +83,8 @@ namespace internal {
 /// alias analysis conflates the inner aligned buffer with the outer
 /// array).
 ///
-/// Buffers of `kCachedBytes` or more are recycled per thread: a freed one
-/// is kept (up to 16 blocks, 2 MiB per thread) and handed to the same
+/// Buffers of `kCachedBytes` to 256 KiB are recycled per thread: a freed
+/// one is kept (up to 16 blocks, 1 MiB per thread) and handed to the same
 /// thread's next allocation of the same size. Every training walk frees
 /// and reallocates its logits-sized buffers; through the heap, those
 /// blocks interleave with long-lived small allocations, which pin the
