@@ -1,6 +1,9 @@
 #include "common/memprobe.h"
 
 #include <sys/resource.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <cstdio>
 #include <cstring>
@@ -51,6 +54,12 @@ uint64_t PeakRssBytes() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // ru_maxrss is in kilobytes on Linux.
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
+}
+
+void TrimHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 ByteCounter& NnBytes() {

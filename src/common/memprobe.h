@@ -30,6 +30,12 @@ uint64_t CurrentRssBytes();
 /// `getrusage(RUSAGE_SELF).ru_maxrss`), or 0 when neither source works.
 uint64_t PeakRssBytes();
 
+/// Returns the heap's free pages to the system (glibc `malloc_trim`; a
+/// no-op with other C libraries). For the end of a phase that freed many
+/// short-lived blocks among long-lived ones: without it, the freed pages
+/// stay resident and the resident set ratchets up phase after phase.
+void TrimHeap();
+
 /// \brief Live/peak byte tally. `Add`/`Sub` are relaxed atomics plus a
 /// CAS-max for the peak, so concurrent allocations from pool workers tally
 /// exactly (integers commute) without locks.

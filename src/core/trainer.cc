@@ -1,9 +1,12 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -12,6 +15,7 @@
 #include "common/events.h"
 #include "common/fileio.h"
 #include "common/logging.h"
+#include "common/memprobe.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/strings.h"
@@ -133,14 +137,19 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
   nn::Adam& optim = *gen_optim_;
   const std::vector<nn::Var>& params = optim.params();
 
-  // Data-parallel minibatches: up to `threads` walks of a minibatch run
-  // at once, each forward+backward from zeroed grads on its own replica
-  // of the generator, and the master grads then fold the replica grads
-  // in walk order. Backward's fold-once contract (nn/autograd.h) makes
-  // this bit-identical to one Backward per walk on the master, so the
-  // trajectory does not depend on the thread count. The replicas live
-  // only for this call. A generator_batch of 0 makes each epoch one
-  // minibatch.
+  // Data-parallel minibatches: each minibatch is one parallel region in
+  // which up to `threads` lanes claim its walks in order and run each
+  // walk's forward+backward from zeroed grads on a replica of the
+  // generator. Walk i uses replica slot i mod `slots`; the master grads
+  // fold the replica grads in walk order, each fold done by whichever
+  // lane finds the next walk finished. Backward's fold-once contract
+  // (nn/autograd.h) makes this bit-identical to one Backward per walk on
+  // the master, so the trajectory does not depend on the thread count.
+  // A lane waits only when its slot still holds an unfolded walk, so the
+  // pool wakes once per minibatch and a lane descheduled mid-walk holds
+  // the others up only after `slots - threads` further walks. The
+  // replicas live only for this call. A generator_batch of 0 makes each
+  // epoch one minibatch.
   const uint32_t max_batch = config_.generator_batch > 0
                                  ? config_.generator_batch
                                  : std::numeric_limits<uint32_t>::max();
@@ -148,8 +157,10 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
       std::min({parallel_internal::ResolveNumThreads(config_.num_threads),
                 ThreadPool::Global().max_parallelism(), max_batch});
   if (InParallelRegion()) threads = 1;  // a nested ParallelFor runs inline
-  std::vector<std::unique_ptr<nn::TransformerLM>> replicas(threads);
-  std::vector<std::vector<nn::Var>> replica_params(threads);
+  const uint32_t slots =
+      threads == 1 ? 1 : std::min(max_batch, threads + threads / 2);
+  std::vector<std::unique_ptr<nn::TransformerLM>> replicas(slots);
+  std::vector<std::vector<nn::Var>> replica_params(slots);
 
   auto walk_loss = [floor_logprob](const nn::TransformerLM& model,
                                    const Walk& walk, bool is_positive) {
@@ -163,7 +174,8 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
   uint64_t loss_count = 0;
 
   std::vector<std::pair<const Walk*, bool>> walks;
-  std::vector<double> values(threads);
+  std::vector<double> values;
+  std::vector<char> done;
   for (uint32_t epoch = 0; epoch < config_.generator_epochs; ++epoch) {
     walks.clear();
     for (const auto& [is_positive, idx] : dataset_.EpochOrder(rng)) {
@@ -175,36 +187,60 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
     for (size_t b0 = 0; b0 < walks.size(); b0 += batch) {
       const size_t b1 = std::min(walks.size(), b0 + batch);
       optim.ZeroGrad();
-      for (size_t r0 = b0; r0 < b1; r0 += threads) {
-        const size_t r1 = std::min(b1, r0 + threads);
-        ParallelFor(
-            r0, r1, 1,
-            [&](size_t i) {
-              const size_t t = i - r0;
-              if (replicas[t] == nullptr) {
-                replicas[t] = model_->generator().Replica();
-                replica_params[t] = replicas[t]->Parameters();
+      values.assign(b1 - b0, 0.0);
+      done.assign(b1 - b0, 0);
+      // Walks are claimed in order, so the lowest unfolded walk is always
+      // held by a running lane whose slot is free: the region cannot
+      // stall. `mu` guards `done`, `folded` and `folding`.
+      std::atomic<size_t> next{b0};
+      std::mutex mu;
+      std::condition_variable slot_freed;
+      size_t folded = b0;
+      bool folding = false;
+      ParallelFor(
+          0, std::min<size_t>(threads, b1 - b0), 1,
+          [&](size_t /*lane*/) {
+            for (size_t i = next++; i < b1; i = next++) {
+              const size_t slot = (i - b0) % slots;
+              std::unique_lock<std::mutex> lock(mu);
+              slot_freed.wait(lock, [&] { return i < folded + slots; });
+              lock.unlock();
+              if (replicas[slot] == nullptr) {
+                replicas[slot] = model_->generator().Replica();
+                replica_params[slot] = replicas[slot]->Parameters();
               }
-              nn::ZeroGrad(replica_params[t]);
-              nn::Var loss =
-                  walk_loss(*replicas[t], *walks[i].first, walks[i].second);
+              nn::ZeroGrad(replica_params[slot]);
+              nn::Var loss = walk_loss(*replicas[slot], *walks[i].first,
+                                       walks[i].second);
               nn::Backward(loss);
-              values[t] = loss->value.ScalarValue();
-            },
-            threads);
-        for (size_t i = r0; i < r1; ++i) {
-          nn::AddGrads(params, replica_params[i - r0]);
-          double value = values[i - r0];
-          if (inject_nan_batches_ > 0) {
-            // Fault injection (FAIRGEN_INJECT_NAN_LOSS): poison the
-            // *recorded* batch value only — gradients are untouched, so
-            // the training trajectory stays deterministic while the guard
-            // path below is exercised end to end.
-            value = std::numeric_limits<double>::quiet_NaN();
-            --inject_nan_batches_;
-          }
-          if (GuardFiniteLoss(value, "generator", &loss_sum)) ++loss_count;
+              values[i - b0] = loss->value.ScalarValue();
+              lock.lock();
+              done[i - b0] = 1;
+              if (folding) continue;  // the active folder takes walk i
+              folding = true;
+              while (folded < b1 && done[folded - b0]) {
+                const size_t f = folded;
+                lock.unlock();
+                nn::AddGrads(params, replica_params[(f - b0) % slots]);
+                lock.lock();
+                folded = f + 1;
+                slot_freed.notify_all();
+              }
+              folding = false;
+            }
+          },
+          threads);
+      for (size_t i = b0; i < b1; ++i) {
+        double value = values[i - b0];
+        if (inject_nan_batches_ > 0) {
+          // Fault injection (FAIRGEN_INJECT_NAN_LOSS): poison the
+          // *recorded* batch value only — gradients are untouched, so
+          // the training trajectory stays deterministic while the guard
+          // path below is exercised end to end.
+          value = std::numeric_limits<double>::quiet_NaN();
+          --inject_nan_batches_;
         }
+        if (GuardFiniteLoss(value, "generator", &loss_sum)) ++loss_count;
       }
       for (const nn::Var& p : params) {
         p->grad.Scale(1.0f / static_cast<float>(b1 - b0));
@@ -213,6 +249,12 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
       optim.Step();
     }
   }
+  // The replicas and the walks' tapes are gone; hand the heap pages they
+  // freed back to the system, so the heap does not ratchet up call after
+  // call.
+  replica_params.clear();
+  replicas.clear();
+  memprobe::TrimHeap();
   return loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
 }
 

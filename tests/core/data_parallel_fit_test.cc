@@ -324,5 +324,14 @@ TEST(DataParallelFitTest, ZeroBatchVariantEqualsSerialReplay) {
   CheckVariant(cfg);
 }
 
+// A minibatch of 2 walks caps the lanes and the replica window at 2, at
+// 2 threads and at 4; 7 walks (the other tests) wrap a window of 6
+// replicas at 4 threads and of 3 at 2 threads.
+TEST(DataParallelFitTest, SmallBatchVariantEqualsSerialReplay) {
+  FairGenConfig cfg = SmallConfig();
+  cfg.generator_batch = 2;
+  CheckVariant(cfg);
+}
+
 }  // namespace
 }  // namespace fairgen
