@@ -210,10 +210,12 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
                 replica_params[slot] = replicas[slot]->Parameters();
               }
               nn::ZeroGrad(replica_params[slot]);
-              nn::Var loss = walk_loss(*replicas[slot], *walks[i].first,
-                                       walks[i].second);
-              nn::Backward(loss);
-              values[i - b0] = loss->value.ScalarValue();
+              {
+                nn::Var loss = walk_loss(*replicas[slot], *walks[i].first,
+                                         walks[i].second);
+                nn::Backward(loss);
+                values[i - b0] = loss->value.ScalarValue();
+              }  // the walk's tape is freed here, outside the lock
               lock.lock();
               done[i - b0] = 1;
               if (folding) continue;  // the active folder takes walk i
