@@ -7,36 +7,10 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 namespace fairgen {
-
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IOError("cannot open for writing: " + tmp);
-  }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
-  bool ok = written == bytes.size() && std::fflush(file) == 0;
-  // fsync before rename: after a crash the file at `path` must be either
-  // the old content or the complete new content, never a hole the kernel
-  // had not flushed yet.
-  if (ok) ok = ::fsync(::fileno(file)) == 0;
-  ok = (std::fclose(file) == 0) && ok;
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    return Status::IOError("write failed: " + tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::IOError("rename failed: " + path + ": " +
-                           ::strerror(errno));
-  }
-  return Status::OK();
-}
 
 bool WriteFileAtomicSignalSafe(const char* path, const char* tmp_path,
                                const char* data, size_t size) {
@@ -61,6 +35,15 @@ bool WriteFileAtomicSignalSafe(const char* path, const char* tmp_path,
   }
   errno = saved_errno;
   return ok;
+}
+
+Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
+  if (!WriteFileAtomicSignalSafe(path.c_str(), tmp.c_str(), bytes.data(),
+                                 bytes.size())) {
+    return Status::IOError("atomic write failed: " + path);
+  }
+  return Status::OK();
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

@@ -17,7 +17,9 @@ namespace fairgen {
 /// a stale `<path>.tmp`, which the next successful write replaces.
 ///
 /// This is the write contract shared by the telemetry snapshots
-/// (snapshot.json / metrics.prom) and the training checkpoints.
+/// (snapshot.json / metrics.prom), the profiler artifacts and the
+/// training checkpoints. It runs WriteFileAtomicSignalSafe, so there is
+/// one implementation of the steps.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 
 /// \brief WriteFileAtomic for a signal handler: the same steps through

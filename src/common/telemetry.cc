@@ -1,6 +1,7 @@
 #include "common/telemetry.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
@@ -9,11 +10,13 @@
 #include <sys/utsname.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <thread>
 
 #include "common/events.h"
 #include "common/fileio.h"
@@ -301,12 +304,6 @@ std::string SnapshotJson(const std::string& run_id, uint64_t sequence,
   out += "  \"metrics\": " + metrics_json + "\n";
   out += "}\n";
   return out;
-}
-
-Status WriteFileAtomic(const std::string& path, const std::string& text) {
-  // Shared temp+fsync+rename contract (common/fileio.h) — also used by
-  // the nn/core checkpoint writers.
-  return fairgen::WriteFileAtomic(path, text);
 }
 
 Publisher::Publisher(PublisherOptions options)
@@ -674,26 +671,90 @@ void Publisher::StopGlobal(int exit_status) {
 namespace {
 
 void (*g_extra_flush)() = nullptr;
-volatile sig_atomic_t g_in_signal_flush = 0;
+std::atomic<bool> g_in_signal_flush{false};
+// Write end of the flush thread's pipe; the handler's only work is to
+// write the caught signal number there.
+int g_flush_fd = -1;
+
+// Runs the flush, never on a signal handler's stack: the handler may have
+// interrupted malloc or a lock holder, and the flush allocates. The thread
+// blocks the flush signals, so no handler runs on it. A 0 on the pipe
+// (the destructor, at exit) ends it.
+class SignalFlushThread {
+ public:
+  SignalFlushThread() {
+    FAIRGEN_CHECK(::pipe2(pipe_, O_CLOEXEC) == 0)
+        << "signal-flush pipe: " << std::strerror(errno);
+    // The thread inherits a mask with the flush signals blocked.
+    sigset_t flush_signals, previous;
+    sigemptyset(&flush_signals);
+    for (int sig : {SIGINT, SIGTERM, SIGABRT}) sigaddset(&flush_signals, sig);
+    ::pthread_sigmask(SIG_BLOCK, &flush_signals, &previous);
+    thread_ = std::thread([this] { Run(); });
+    ::pthread_sigmask(SIG_SETMASK, &previous, nullptr);
+  }
+  ~SignalFlushThread() {
+    // At most two ints ever enter the pipe, so this write cannot block.
+    const int stop = 0;
+    const ssize_t written = ::write(pipe_[1], &stop, sizeof(stop));
+    (void)written;
+    thread_.join();
+    ::close(pipe_[0]);
+    ::close(pipe_[1]);
+  }
+  SignalFlushThread(const SignalFlushThread&) = delete;
+  SignalFlushThread& operator=(const SignalFlushThread&) = delete;
+
+  int write_fd() const { return pipe_[1]; }
+
+ private:
+  void Run() {
+    int sig = 0;
+    ssize_t n;
+    do {
+      n = ::read(pipe_[0], &sig, sizeof(sig));
+    } while (n < 0 && errno == EINTR);
+    if (n != static_cast<ssize_t>(sizeof(sig)) || sig == 0) return;
+    Publisher* publisher = Publisher::Get();
+    if (publisher != nullptr) publisher->CrashFlush(128 + sig);
+    if (g_extra_flush != nullptr) {
+      // The thread the signal stopped may hold a registry or tracer lock.
+      metrics::SetBestEffortReads(true);
+      g_extra_flush();
+    }
+    // Restore the default disposition and re-raise so the wait status
+    // still reports death-by-signal.
+    ::signal(sig, SIG_DFL);
+    sigset_t unblock;
+    sigemptyset(&unblock);
+    sigaddset(&unblock, sig);
+    ::pthread_sigmask(SIG_UNBLOCK, &unblock, nullptr);
+    ::raise(sig);
+  }
+
+  int pipe_[2] = {-1, -1};
+  std::thread thread_;
+};
 
 void SignalFlushHandler(int sig) {
-  // Re-entrant delivery (e.g. a second SIGTERM while flushing): give up
-  // and die with the right status.
-  if (g_in_signal_flush) ::_exit(128 + sig);
-  g_in_signal_flush = 1;
-  Publisher* publisher = Publisher::Get();
-  if (publisher != nullptr) publisher->CrashFlush(128 + sig);
-  if (g_extra_flush != nullptr) g_extra_flush();
-  // Restore the default disposition and re-raise so the wait status still
-  // reports death-by-signal.
-  ::signal(sig, SIG_DFL);
-  ::raise(sig);
+  // Re-entrant delivery (e.g. a second SIGTERM while flushing), or no
+  // flush thread to hand to: die now with the right status.
+  if (g_in_signal_flush.exchange(true)) ::_exit(128 + sig);
+  if (::write(g_flush_fd, &sig, sizeof(sig)) !=
+      static_cast<ssize_t>(sizeof(sig))) {
+    ::_exit(128 + sig);
+  }
+  // Stop this thread where it is: the process ends when the flush thread
+  // re-raises, and an abort() must not return into its caller first.
+  for (;;) ::pause();
 }
 
 }  // namespace
 
 void InstallSignalFlush(void (*extra_flush)()) {
   g_extra_flush = extra_flush;
+  static SignalFlushThread flush_thread;
+  g_flush_fd = flush_thread.write_fd();
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));
   action.sa_handler = SignalFlushHandler;

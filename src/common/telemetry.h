@@ -66,12 +66,6 @@ std::string PrometheusText();
 std::string SnapshotJson(const std::string& run_id, uint64_t sequence,
                          uint64_t start_unix_ms);
 
-/// \brief Writes `text` to `path` atomically: the bytes go to
-/// `<path>.tmp` first and are `rename(2)`d over `path`, so a concurrent
-/// reader (tail, scrape collector, `fairgen_report` on a live run) never
-/// observes a torn file.
-Status WriteFileAtomic(const std::string& path, const std::string& text);
-
 /// \brief Configuration of one `Publisher`.
 struct PublisherOptions {
   /// Parent directory for run directories; created if absent. The
@@ -183,15 +177,21 @@ class Publisher {
   uint16_t bound_port_ = 0;
 };
 
-/// \brief Installs best-effort SIGINT/SIGTERM/SIGABRT handlers that flush
-/// telemetry before the process dies: the global `Publisher` (if any)
-/// gets a last snapshot and a finalized manifest with exit status
-/// `128 + sig`, then `extra_flush` runs (the `--metrics-out`/`--trace-out`
-/// writers that otherwise only fire from `atexit`), and the default
-/// disposition is restored and the signal re-raised so the exit status
-/// still reports the kill. `extra_flush` may be null. Handlers allocate —
-/// this is deliberate best effort, with the publisher's periodic snapshot
-/// as the fallback crash record.
+/// \brief Installs SIGINT/SIGTERM/SIGABRT handlers that flush telemetry
+/// before the process dies: the global `Publisher` (if any) gets a last
+/// snapshot and a finalized manifest with exit status `128 + sig`, then
+/// `extra_flush` runs (the `--metrics-out`/`--trace-out` writers that
+/// otherwise only fire from `atexit`), and the default disposition is
+/// restored and the signal re-raised so the exit status still reports
+/// the kill. `extra_flush` may be null.
+///
+/// The handler itself only writes the signal number to a pipe and stops
+/// its thread; a flush thread, started by the first call, does the
+/// flush. The flush allocates and takes locks, so on the handler's stack
+/// it deadlocked whenever the signal interrupted malloc. Reads of the
+/// registry and tracer are best effort during the flush (a lock held by
+/// the stopped thread yields an empty section), with the publisher's
+/// periodic snapshot as the fallback crash record.
 void InstallSignalFlush(void (*extra_flush)());
 
 }  // namespace telemetry

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "common/events.h"
 #include "common/metrics.h"
 #include "common/prof.h"
 #include "common/strings.h"
@@ -454,6 +455,23 @@ ScopedSpan::~ScopedSpan() {
       start_wall_ns_ >= tracer.epoch_ns() ? start_wall_ns_ - tracer.epoch_ns()
                                           : 0;
   tracer.Record(std::move(record));
+}
+
+ScopedStage::ScopedStage(std::string_view name, Category category,
+                         int64_t epoch)
+    : span_(name, category), name_(name), epoch_(epoch) {
+  Emit("start");
+}
+
+ScopedStage::~ScopedStage() { Emit("finish"); }
+
+void ScopedStage::Emit(const char* what) const {
+  events::Event event;
+  event.type = events::Type::kStage;
+  event.name = std::string(name_);
+  event.message = what;
+  event.epoch = static_cast<double>(epoch_);
+  events::Journal::Global().Emit(std::move(event));
 }
 
 }  // namespace trace

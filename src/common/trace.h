@@ -215,6 +215,28 @@ class ScopedSpan {
   uint64_t start_branch_misses_ = 0;
 };
 
+/// \brief One instrumented step: a ScopedSpan under `name` plus a `kStage`
+/// journal event (common/events.h) with message "start" on construction
+/// and "finish" on destruction. fairgen_doctor lists these events and the
+/// watchdog's stage_stall rule counts them as progress. `epoch` is the
+/// self-paced cycle the step belongs to, -1 outside one. `name` must
+/// outlive the scope (a string literal in every caller).
+class ScopedStage {
+ public:
+  ScopedStage(std::string_view name, Category category, int64_t epoch = -1);
+  ~ScopedStage();
+
+  ScopedStage(const ScopedStage&) = delete;
+  ScopedStage& operator=(const ScopedStage&) = delete;
+
+ private:
+  void Emit(const char* what) const;
+
+  ScopedSpan span_;
+  std::string_view name_;
+  int64_t epoch_;
+};
+
 }  // namespace trace
 }  // namespace fairgen
 

@@ -57,29 +57,6 @@ bool GuardFiniteLoss(double value, const char* component, double* sum) {
   return false;
 }
 
-// One step of a self-paced cycle: a `trainer.<step>` span plus start and
-// finish stage records in the event journal, which fairgen_doctor lists
-// and the watchdog's stage_stall rule counts as progress.
-struct CycleStep {
-  CycleStep(const char* name, trace::Category category, uint32_t cycle)
-      : span(name, category), name(name), cycle(cycle) {
-    Emit("start");
-  }
-  ~CycleStep() { Emit("finish"); }
-  void Emit(const char* what) const {
-    events::Event event;
-    event.type = events::Type::kStage;
-    event.name = name;
-    event.message = what;
-    event.epoch = static_cast<double>(cycle);
-    events::Journal::Global().Emit(std::move(event));
-  }
-
-  trace::ScopedSpan span;
-  const char* name;
-  uint32_t cycle;
-};
-
 }  // namespace
 
 FairGenTrainer::FairGenTrainer(FairGenConfig config)
@@ -503,25 +480,29 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
     // before this cycle's label update).
     std::vector<Walk> positives;
     {
-      CycleStep step("trainer.sample_walks", trace::Category::kWalk, cycle);
+      trace::ScopedStage step("trainer.sample_walks", trace::Category::kWalk,
+                              cycle);
       positives = sampler_->SampleBatch(config_.num_walks, streams[0]);
     }
     // Step 4: update g_θ from the previous N+ and N− pools.
     {
-      CycleStep step("trainer.generator", trace::Category::kTrain, cycle);
+      trace::ScopedStage step("trainer.generator", trace::Category::kTrain,
+                              cycle);
       losses.j_g = TrainGenerator(streams[1]);
     }
     // Step 6: new negatives from the updated generator (skipped by the
     // negative-refresh ablation, which keeps the static [32] negatives).
     std::vector<Walk> negatives;
     if (refresh) {
-      CycleStep step("trainer.negatives", trace::Category::kWalk, cycle);
+      trace::ScopedStage step("trainer.negatives", trace::Category::kWalk,
+                              cycle);
       negatives = SampleGeneratorWalks(config_.num_walks, streams[2]);
     }
     // Steps 7–8: augment λ and refresh the self-paced vectors / pseudo
     // labels (skipped by the w/o-SPL ablation).
     if (spl) {
-      CycleStep step("trainer.self_paced", trace::Category::kTrain, cycle);
+      trace::ScopedStage step("trainer.self_paced", trace::Category::kTrain,
+                              cycle);
       scheduler.Augment();
       SelfPacedUpdate update = scheduler.Update(
           model_->fair_module().LogProbaAll(), ground_truth_, config_.beta);
@@ -533,8 +514,8 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
     }
     // Steps 5–6 commit: fold the fresh pools into the dataset.
     {
-      CycleStep step("trainer.dataset_update", trace::Category::kGeneral,
-                     cycle);
+      trace::ScopedStage step("trainer.dataset_update",
+                              trace::Category::kGeneral, cycle);
       dataset_.AddPositives(std::move(positives));
       if (refresh) {
         dataset_.AddNegatives(std::move(negatives));
@@ -544,8 +525,8 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
     }
     // Steps 9–11: discriminator updates (J_P + J_L + J_F).
     {
-      CycleStep step("trainer.discriminator", trace::Category::kTrain,
-                     cycle);
+      trace::ScopedStage step("trainer.discriminator",
+                              trace::Category::kTrain, cycle);
       TrainDiscriminator(losses, streams.back());
     }
 

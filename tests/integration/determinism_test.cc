@@ -21,6 +21,7 @@
 #include "generators/netgan.h"
 #include "graph/triangles.h"
 #include "stats/mmd.h"
+#include "test_util.h"
 
 namespace fairgen {
 namespace {
@@ -329,10 +330,11 @@ TEST(DeterminismTest, TelemetryPublisherDoesNotPerturbOutputs) {
 
   const bool metrics_before = metrics::Enabled();
   metrics::SetEnabled(true);
+  testing_util::ScopedTempDir temp_dir;
   for (uint32_t threads : {1u, 2u, 4u}) {
     // Publisher on: snapshots race the training loop at a 5 ms cadence.
     telemetry::PublisherOptions options;
-    options.dir = testing::TempDir() + "/fairgen_determinism_telemetry";
+    options.dir = temp_dir.path();
     options.interval_ms = 5;
     telemetry::Publisher publisher(options);
     ASSERT_TRUE(publisher.Init().ok());

@@ -26,6 +26,7 @@
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
+#include "test_util.h"
 
 namespace fairgen {
 namespace {
@@ -33,8 +34,7 @@ namespace {
 class ResumeE2eTest : public testing::Test {
  protected:
   std::string TempPath(const std::string& suffix) {
-    return testing::TempDir() + "/fairgen_resume_e2e_" +
-           std::to_string(::getpid()) + "_" + suffix;
+    return temp_dir_.File(suffix);
   }
 
   // Seeded demo inputs (edges, few-shot labels, protected set).
@@ -185,6 +185,8 @@ class ResumeE2eTest : public testing::Test {
     EXPECT_EQ(ReadFileOrDie(out), ReadFileOrDie(ref_out))
         << "resumed generation diverged from the uninterrupted run";
   }
+
+  testing_util::ScopedTempDir temp_dir_;
 };
 
 TEST_F(ResumeE2eTest, KilledRunResumesBitIdenticalOneThread) {

@@ -30,6 +30,7 @@
 #include "common/json.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
+#include "test_util.h"
 
 namespace fairgen {
 namespace {
@@ -66,9 +67,7 @@ std::vector<std::string> RunDirs(const std::string& parent) {
 class TelemetryE2eTest : public testing::Test {
  protected:
   std::string TempPath(const std::string& suffix) {
-    std::string path = testing::TempDir() + "/fairgen_tele_e2e_" +
-                       std::to_string(::getpid()) + "_" + suffix;
-    return path;
+    return temp_dir_.File(suffix);
   }
 
   // Writes the seeded demo inputs (edges, few-shot labels, protected set)
@@ -106,6 +105,8 @@ class TelemetryE2eTest : public testing::Test {
     int rc = std::system(command.c_str());
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   }
+
+  testing_util::ScopedTempDir temp_dir_;
 };
 
 TEST_F(TelemetryE2eTest, CliRunYieldsSchemaValidArtifactsAndReport) {

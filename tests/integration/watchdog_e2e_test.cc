@@ -31,6 +31,7 @@
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
+#include "test_util.h"
 
 namespace fairgen {
 namespace {
@@ -81,8 +82,7 @@ std::vector<std::pair<std::string, std::string>> AlertRecords(
 class WatchdogE2eTest : public testing::Test {
  protected:
   std::string TempPath(const std::string& suffix) {
-    return testing::TempDir() + "/fairgen_wd_e2e_" +
-           std::to_string(::getpid()) + "_" + suffix;
+    return temp_dir_.File(suffix);
   }
 
   // Seeded demo inputs (edges, few-shot labels, protected set).
@@ -153,6 +153,8 @@ class WatchdogE2eTest : public testing::Test {
            " --seed=7 --walks=60 --cycles=3 --epochs=1 --threads=" +
            std::to_string(threads);
   }
+
+  testing_util::ScopedTempDir temp_dir_;
 };
 
 // Fault A: a poisoned loss batch. The run must finish cleanly (the guard

@@ -18,11 +18,11 @@
 //   --cycles=<n>         self-paced cycles (default 4)
 //   --epochs=<n>         generator epochs per cycle (default 2)
 
-#include <any>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -38,7 +38,6 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "common/watchdog.h"
-#include "core/pipeline/pipeline.h"
 #include "core/trainer.h"
 #include "generators/ba.h"
 #include "generators/er.h"
@@ -440,210 +439,144 @@ struct SignalTrainerScope {
   }
 };
 
-// The top-level generate command as a pipeline DAG. The master rng is
-// captured by the stages that consume it (fit before generate, enforced by
-// the port edges), not split per stage: the draw sequence — and therefore
-// the output graph for a given seed — is byte-identical to the old
-// sequential code. --save-model rides in its own stage so checkpoint
-// serialization overlaps graph generation.
+// Runs one top-level step under a `cli.<step>` span with start/finish
+// stage events; a failure is returned prefixed with the step's name.
+Status RunStep(const char* name, trace::Category category,
+               const std::function<Status()>& body) {
+  trace::ScopedStage stage(name, category);
+  Status status = body();
+  if (status.ok()) return status;
+  return Status(status.code(), "stage '" + std::string(name) +
+                                   "': " + std::string(status.message()));
+}
+
+// The first step of generate and evaluate: the input graph and the model
+// built for it (labels and protected set loaded for fairgen models).
+Status LoadGraphAndModel(const Options& opts, std::optional<Graph>* graph,
+                         std::unique_ptr<GraphGenerator>* model) {
+  return RunStep("cli.load_graph", trace::Category::kGeneral, [&]() {
+    FAIRGEN_ASSIGN_OR_RETURN(*graph, LoadEdgeList(opts.edges_path));
+    memprobe::Sample("load");
+    FAIRGEN_ASSIGN_OR_RETURN(*model, BuildModel(opts, **graph));
+    return Status::OK();
+  });
+}
+
+// The generate command: load, fit (or restore with --load-model), save
+// (with --save-model), generate, write. The master rng feeds fit and then
+// generate, so the output for a seed does not depend on --threads. The
+// steps run one after another: a ParallelFor nested in other parallel
+// work runs inline, so Generate must not share the pool with the save
+// (DESIGN.md §6).
 Status RunGenerate(const Options& opts) {
   if (opts.out_path.empty()) {
     return Status::InvalidArgument("generate requires --out=<file>");
   }
   std::optional<Graph> graph;
   std::unique_ptr<GraphGenerator> model;
-  FairGenTrainer* fairgen_trainer = nullptr;
-  std::optional<SignalTrainerScope> signal_scope;
+  FAIRGEN_RETURN_NOT_OK(LoadGraphAndModel(opts, &graph, &model));
+  auto* fairgen_trainer = dynamic_cast<FairGenTrainer*>(model.get());
+  SignalTrainerScope signal_scope(fairgen_trainer);
   Rng rng(opts.seed);
-  std::optional<Graph> generated;
 
-  pipeline::Pipeline dag("cli");
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"load_graph",
-       trace::Category::kGeneral,
-       {},
-       {"graph_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(graph, LoadEdgeList(opts.edges_path));
-         memprobe::Sample("load");
-         FAIRGEN_ASSIGN_OR_RETURN(model, BuildModel(opts, *graph));
-         fairgen_trainer = dynamic_cast<FairGenTrainer*>(model.get());
-         signal_scope.emplace(fairgen_trainer);
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"fit_model",
-       trace::Category::kTrain,
-       {"graph_ready"},
-       {"model_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         if (!opts.load_model_path.empty()) {
-           if (fairgen_trainer == nullptr) {
-             return Status::InvalidArgument(
-                 "--load-model is only supported for fairgen* models");
-           }
-           FAIRGEN_RETURN_NOT_OK(fairgen_trainer->Prepare(*graph, rng));
-           FAIRGEN_RETURN_NOT_OK(
-               fairgen_trainer->LoadCheckpoint(opts.load_model_path));
-           std::fprintf(stderr, "restored checkpoint %s\n",
-                        opts.load_model_path.c_str());
-         } else {
-           std::fprintf(stderr, "fitting %s on n=%u m=%llu...\n",
-                        model->name().c_str(), graph->num_nodes(),
-                        static_cast<unsigned long long>(graph->num_edges()));
-           FAIRGEN_RETURN_NOT_OK(model->Fit(*graph, rng));
-         }
-         memprobe::Sample("fit");
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
+  FAIRGEN_RETURN_NOT_OK(RunStep("cli.fit_model", trace::Category::kTrain, [&] {
+    if (!opts.load_model_path.empty()) {
+      if (fairgen_trainer == nullptr) {
+        return Status::InvalidArgument(
+            "--load-model is only supported for fairgen* models");
+      }
+      FAIRGEN_RETURN_NOT_OK(fairgen_trainer->Prepare(*graph, rng));
+      FAIRGEN_RETURN_NOT_OK(
+          fairgen_trainer->LoadCheckpoint(opts.load_model_path));
+      std::fprintf(stderr, "restored checkpoint %s\n",
+                   opts.load_model_path.c_str());
+    } else {
+      std::fprintf(stderr, "fitting %s on n=%u m=%llu...\n",
+                   model->name().c_str(), graph->num_nodes(),
+                   static_cast<unsigned long long>(graph->num_edges()));
+      FAIRGEN_RETURN_NOT_OK(model->Fit(*graph, rng));
+    }
+    memprobe::Sample("fit");
+    return Status::OK();
+  }));
   if (!opts.save_model_path.empty()) {
-    FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-        {"save_model",
-         trace::Category::kGeneral,
-         {"model_ready"},
-         {},
-         [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-           (void)ctx;
-           if (fairgen_trainer == nullptr) {
-             return Status::InvalidArgument(
-                 "--save-model is only supported for fairgen* models");
-           }
-           FAIRGEN_RETURN_NOT_OK(
-               fairgen_trainer->SaveCheckpoint(opts.save_model_path));
-           std::fprintf(stderr, "saved checkpoint %s\n",
-                        opts.save_model_path.c_str());
-           return pipeline::StepResult::kDone;
-         }}));
+    FAIRGEN_RETURN_NOT_OK(
+        RunStep("cli.save_model", trace::Category::kGeneral, [&] {
+          if (fairgen_trainer == nullptr) {
+            return Status::InvalidArgument(
+                "--save-model is only supported for fairgen* models");
+          }
+          FAIRGEN_RETURN_NOT_OK(
+              fairgen_trainer->SaveCheckpoint(opts.save_model_path));
+          std::fprintf(stderr, "saved checkpoint %s\n",
+                       opts.save_model_path.c_str());
+          return Status::OK();
+        }));
   }
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"generate_graph",
-       trace::Category::kGenerate,
-       {"model_ready"},
-       {"generated_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(generated, model->Generate(rng));
-         memprobe::Sample("generate");
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"write_output",
-       trace::Category::kGeneral,
-       {"generated_ready"},
-       {},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         (void)ctx;
-         FAIRGEN_RETURN_NOT_OK(SaveEdgeList(*generated, opts.out_path));
-         std::printf("wrote %llu edges to %s\n",
-                     static_cast<unsigned long long>(generated->num_edges()),
-                     opts.out_path.c_str());
-         return pipeline::StepResult::kDone;
-       }}));
-
-  pipeline::RunOptions run;
-  run.num_threads = opts.threads;
-  return dag.Run(run);
+  std::optional<Graph> generated;
+  FAIRGEN_RETURN_NOT_OK(
+      RunStep("cli.generate_graph", trace::Category::kGenerate, [&] {
+        FAIRGEN_ASSIGN_OR_RETURN(generated, model->Generate(rng));
+        memprobe::Sample("generate");
+        return Status::OK();
+      }));
+  return RunStep("cli.write_output", trace::Category::kGeneral, [&] {
+    FAIRGEN_RETURN_NOT_OK(SaveEdgeList(*generated, opts.out_path));
+    std::printf("wrote %llu edges to %s\n",
+                static_cast<unsigned long long>(generated->num_edges()),
+                opts.out_path.c_str());
+    return Status::OK();
+  });
 }
 
-// The evaluate command as a pipeline DAG: the overall and protected
-// discrepancy passes both read (graph, generated) immutably and draw no rng,
-// so they score in parallel once generation lands; the report stage joins
-// their rows in fixed order so the printed table is stable.
+// The evaluate command: load, fit, generate, then the Eq. 15/16
+// discrepancies — overall R, and protected R+ with --protected — printed
+// as one table.
 Status RunEvaluate(const Options& opts) {
   std::optional<Graph> graph;
   std::unique_ptr<GraphGenerator> model;
-  std::optional<SignalTrainerScope> signal_scope;
+  FAIRGEN_RETURN_NOT_OK(LoadGraphAndModel(opts, &graph, &model));
+  SignalTrainerScope signal_scope(
+      dynamic_cast<FairGenTrainer*>(model.get()));
   Rng rng(opts.seed);
+
+  FAIRGEN_RETURN_NOT_OK(RunStep("cli.fit_model", trace::Category::kTrain,
+                                [&] { return model->Fit(*graph, rng); }));
   std::optional<Graph> generated;
-  const bool has_protected = !opts.protected_path.empty();
-
-  pipeline::Pipeline dag("cli");
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"load_graph",
-       trace::Category::kGeneral,
-       {},
-       {"graph_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(graph, LoadEdgeList(opts.edges_path));
-         FAIRGEN_ASSIGN_OR_RETURN(model, BuildModel(opts, *graph));
-         signal_scope.emplace(dynamic_cast<FairGenTrainer*>(model.get()));
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"fit_model",
-       trace::Category::kTrain,
-       {"graph_ready"},
-       {"model_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_RETURN_NOT_OK(model->Fit(*graph, rng));
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"generate_graph",
-       trace::Category::kGenerate,
-       {"model_ready"},
-       {"generated_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(generated, model->Generate(rng));
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"eval_overall",
-       trace::Category::kEval,
-       {"generated_ready"},
-       {"overall_row"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(auto overall,
-                                  OverallDiscrepancy(*graph, *generated));
-         ctx.Push(0, std::vector<double>(overall.begin(), overall.end()));
-         return pipeline::StepResult::kDone;
-       }}));
-  if (has_protected) {
-    FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-        {"eval_protected",
-         trace::Category::kEval,
-         {"generated_ready"},
-         {"protected_row"},
-         [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-           FAIRGEN_ASSIGN_OR_RETURN(
-               auto protected_set,
-               LoadNodeSet(opts.protected_path, graph->num_nodes()));
-           FAIRGEN_ASSIGN_OR_RETURN(
-               auto prot,
-               ProtectedDiscrepancy(*graph, *generated, protected_set));
-           ctx.Push(0, std::vector<double>(prot.begin(), prot.end()));
-           return pipeline::StepResult::kDone;
-         }}));
+  FAIRGEN_RETURN_NOT_OK(
+      RunStep("cli.generate_graph", trace::Category::kGenerate, [&] {
+        FAIRGEN_ASSIGN_OR_RETURN(generated, model->Generate(rng));
+        return Status::OK();
+      }));
+  std::vector<std::string> header{"scope"};
+  for (const auto& name : MetricNames()) header.push_back(name);
+  Table table(header);
+  FAIRGEN_RETURN_NOT_OK(
+      RunStep("cli.eval_overall", trace::Category::kEval, [&] {
+        FAIRGEN_ASSIGN_OR_RETURN(auto overall,
+                                 OverallDiscrepancy(*graph, *generated));
+        table.AddRow("overall R",
+                     std::vector<double>(overall.begin(), overall.end()));
+        return Status::OK();
+      }));
+  if (!opts.protected_path.empty()) {
+    FAIRGEN_RETURN_NOT_OK(
+        RunStep("cli.eval_protected", trace::Category::kEval, [&] {
+          FAIRGEN_ASSIGN_OR_RETURN(
+              auto protected_set,
+              LoadNodeSet(opts.protected_path, graph->num_nodes()));
+          FAIRGEN_ASSIGN_OR_RETURN(
+              auto prot,
+              ProtectedDiscrepancy(*graph, *generated, protected_set));
+          table.AddRow("protected R+",
+                       std::vector<double>(prot.begin(), prot.end()));
+          return Status::OK();
+        }));
   }
-  std::vector<std::string> report_inputs{"overall_row"};
-  if (has_protected) report_inputs.push_back("protected_row");
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"report",
-       trace::Category::kGeneral,
-       report_inputs,
-       {},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         std::vector<std::string> header{"scope"};
-         for (const auto& name : MetricNames()) header.push_back(name);
-         Table table(header);
-         table.AddRow("overall R",
-                      std::any_cast<std::vector<double>>(ctx.Pop(0)));
-         if (has_protected) {
-           table.AddRow("protected R+",
-                        std::any_cast<std::vector<double>>(ctx.Pop(1)));
-         }
-         std::printf("%s\n", table.ToAscii().c_str());
-         return pipeline::StepResult::kDone;
-       }}));
-
-  pipeline::RunOptions run;
-  run.num_threads = opts.threads;
-  return dag.Run(run);
+  return RunStep("cli.report", trace::Category::kGeneral, [&] {
+    std::printf("%s\n", table.ToAscii().c_str());
+    return Status::OK();
+  });
 }
 
 Status RunCore(const Options& opts) {
@@ -693,8 +626,8 @@ Status WriteTelemetry(const Options& opts) {
   return Status::OK();
 }
 
-// Best-effort flush for SIGTERM/SIGINT/abort: the publisher's crash flush
-// has already run by the time telemetry::InstallSignalFlush calls this;
+// Best-effort flush for SIGTERM/SIGINT/abort, run on the signal-flush
+// thread after the publisher's crash flush (telemetry::InstallSignalFlush);
 // this covers the --metrics-out/--trace-out files that otherwise only
 // appear on a normal return from Main.
 void SignalExtraFlush() {
@@ -703,8 +636,7 @@ void SignalExtraFlush() {
           g_signal_trainer.load(std::memory_order_acquire)) {
     trainer->WriteEmergencyCheckpoint();
   }
-  // Writing telemetry allocates, which can deadlock a handler that
-  // interrupted malloc, so it runs only when the user asked for files.
+  // Telemetry files only when the user asked for them.
   if (g_signal_opts != nullptr && (!g_signal_opts->metrics_out_path.empty() ||
                                    !g_signal_opts->trace_out_path.empty())) {
     WriteTelemetry(*g_signal_opts);
