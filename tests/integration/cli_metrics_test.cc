@@ -84,7 +84,7 @@ class CliMetricsTest : public testing::Test {
 };
 
 TEST_F(CliMetricsTest, GenerateEmitsEverySchemaKey) {
-  WriteDemoInputs();
+  ASSERT_NO_FATAL_FAILURE(WriteDemoInputs());
 
   std::string out_path = TempPath("generated.txt");
   std::string metrics_path = TempPath("metrics.json");
@@ -160,7 +160,7 @@ TEST_F(CliMetricsTest, StatsCommandWritesMetricsToo) {
 // they write must not depend on --threads. generate's edge list and its
 // --save-model checkpoint are compared byte for byte.
 TEST_F(CliMetricsTest, GenerateWithSaveModelIsThreadCountInvariant) {
-  WriteDemoInputs();
+  ASSERT_NO_FATAL_FAILURE(WriteDemoInputs());
   std::vector<std::string> outs, models;
   for (int threads : {1, 4}) {
     const std::string tag = "t" + std::to_string(threads);
@@ -184,7 +184,7 @@ TEST_F(CliMetricsTest, GenerateWithSaveModelIsThreadCountInvariant) {
 // evaluate's overall R and protected R+ table, printed to stdout, is the
 // same at 1 and 4 threads.
 TEST_F(CliMetricsTest, EvaluateProtectedTableIsThreadCountInvariant) {
-  WriteDemoInputs();
+  ASSERT_NO_FATAL_FAILURE(WriteDemoInputs());
   std::vector<std::string> tables;
   for (int threads : {1, 4}) {
     const std::string stdout_path =
